@@ -18,10 +18,11 @@ import csv
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import DataMatrix, SigmaModel
+from .copula import DataMatrix, SigmaModel, _tied_columns
 from .errors import GuardExceededError, InputError
 from .harness import (
     ExperimentConfig,
@@ -30,7 +31,6 @@ from .harness import (
     load_records,
     rate_fit,
     run_experiment,
-    subset,
     trend_inversions,
     write_records_csv,
     write_summary_csv,
@@ -49,24 +49,182 @@ EXIT_ASSERT = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 
-_PRESETS = {
-    "thm1": dict(
+
+def _or_nan(names, compute):
+    """Rows pairing names with compute(), or nan for each name when the
+    grid is too small for the statistic (compute raises ValueError)."""
+    try:
+        values = compute()
+    except ValueError:
+        values = (math.nan,) * len(names)
+    return list(zip(names, values))
+
+
+def _thm1_metrics(result):
+    estimators = result.config.estimators
+    rows = []
+    for e in estimators:
+        rows += _or_nan(
+            ("slope_%s" % e, "slope_stderr_%s" % e),
+            lambda e=e: rate_fit(result, "spec_err", vary="n", estimator=e),
+        )
+    rows.append(("target_slope", -0.5))
+    for e in estimators:
+        rows.append(
+            ("ratio_thm1_%s" % e, bound_ratio(result, "spec_err", "thm1", estimator=e))
+        )
+    return rows
+
+
+def _thm2_metrics(result):
+    return [("ratio_thm2_q95", bound_ratio(result, "sparse_spec_err_s3", "thm2"))]
+
+
+def _thm3_metrics(result):
+    rows = _or_nan(
+        ("slope_sq", "slope_sq_stderr"),
+        lambda: rate_fit(result, "taper_err_a1", vary="n", power=2.0),
+    )
+    rows.append(("target_slope", -2.0 / 3.0))
+    # squared error against bandwidth at the middle sample size should dip
+    # at an interior k: small k is bias-dominated, large k variance-dominated
+    ks = sorted(f.k for f in result.config.functionals if f.k is not None)
+    grid = sorted(result.config.n_grid)
+    curve_n = grid[len(grid) // 2]
+    curve = []
+    for k in ks:
+        values = [
+            r.value for r in result.records
+            if r.n == curve_n and r.functional == "taper_err_k%d" % k
+        ]
+        curve.append(float(np.mean(np.square(values))) if values else math.nan)
+    best = int(np.argmin(curve))
+    rows.append(("kcurve_n", float(curve_n)))
+    rows += [("kcurve_mse_k%d" % k, value) for k, value in zip(ks, curve)]
+    rows.append(("kcurve_argmin_k", float(ks[best])))
+    rows.append(("kcurve_interior", float(0 < best < len(ks) - 1)))
+    return rows
+
+
+def _thm4_metrics(result):
+    rows = _or_nan(
+        ("slope", "slope_stderr"), lambda: rate_fit(result, "proj_dist_k2", vary="n")
+    )
+    rows.append(("target_slope", -0.5))
+    return rows
+
+
+def _thm5_metrics(result):
+    angle = "sin_angle_sparse_s3"
+    rows = _or_nan(
+        ("slope_median", "slope_stderr"),
+        lambda: rate_fit(result, angle, vary="n", stat="median"),
+    )
+    rows.append(("target_slope", -0.5))
+    rows += _or_nan(
+        ("median_inversions",),
+        lambda: (float(trend_inversions(result, angle, vary="n", stat="median")),),
+    )
+    n_max = max(result.config.n_grid)
+    at_max = [
+        r.value for r in result.records
+        if r.n == n_max and r.functional == "support_recovery_s3"
+    ]
+    rows.append(("nmax", float(n_max)))
+    rows.append(("recovery_at_nmax", float(np.mean(at_max))))
+    return rows
+
+
+@dataclass(frozen=True)
+class Study:
+    """One preset study: the subcommand that runs it, its experiment, the
+    ordered (name, value) rows of its study.csv, and its --assert gates.
+
+    metrics maps the ExperimentResult of the study's config to the rows.
+    Each gate is (metric, low, high) with None for an open side.
+    """
+
+    command: str
+    model: SigmaModel
+    estimators: tuple
+    n_grid: tuple
+    d_grid: tuple
+    functionals: tuple
+    reps: int
+    metrics: object
+    gates: tuple
+
+    def config(self, seed, reps=None, n_grid=None):
+        return ExperimentConfig(
+            model=self.model,
+            estimators=self.estimators,
+            n_grid=self.n_grid if n_grid is None else n_grid,
+            d_grid=self.d_grid,
+            functionals=self.functionals,
+            reps=self.reps if reps is None else reps,
+            seed=seed,
+        )
+
+    def gate_failures(self, metrics, failures=()):
+        """One message per missed gate; nan misses every gate, and any
+        replicate failure fails the study."""
+        messages = []
+        if failures:
+            messages.append(
+                "%d replicate failures; first: %s"
+                % (len(failures), failures[0].reason)
+            )
+        values = dict(metrics)
+        for name, low, high in self.gates:
+            v = values.get(name, math.nan)
+            if low is None:
+                if not v <= high:
+                    messages.append("%s=%.6g exceeds %g" % (name, v, high))
+            elif high is None:
+                if not v >= low:
+                    messages.append("%s=%.6g below %g" % (name, v, low))
+            elif not low <= v <= high:
+                messages.append("%s=%.6g outside [%g, %g]" % (name, v, low, high))
+        return messages
+
+
+# Slope windows come from the rate targets (-1/2 for estimation error,
+# -2/3 for the squared taper error at alpha=1) widened for Monte Carlo
+# noise; the ratio ceilings and the recovery floor are calibrated from
+# pilot runs at triple reps (see tests/pilots.py) with max(20%, 4 standard
+# errors) of headroom.  The oracle ceiling is the explicit bound itself
+# with a 5% Monte Carlo allowance.
+STUDIES = {
+    "thm1": Study(
+        command="simulate",
         model=SigmaModel.ar1(0.5, 10),
         estimators=("tau", "rho", "oracle"),
         n_grid=(250, 500, 1000, 2000, 4000),
         d_grid=(10,),
         functionals=(Functional.spec_err(),),
         reps=100,
+        metrics=_thm1_metrics,
+        gates=(
+            ("slope_tau", -0.65, -0.35),
+            ("ratio_thm1_tau", None, 0.78),
+            ("slope_rho", -0.65, -0.35),
+            ("ratio_thm1_rho", None, 0.78),
+            ("ratio_thm1_oracle", None, 1.05),
+        ),
     ),
-    "thm2": dict(
+    "thm2": Study(
+        command="simulate",
         model=SigmaModel.ar1(0.5, 30),
         estimators=("tau",),
         n_grid=(1000, 2000),
         d_grid=(30,),
         functionals=(Functional.sparse_spec_err(3),),
         reps=200,
+        metrics=_thm2_metrics,
+        gates=(("ratio_thm2_q95", None, 1.80),),
     ),
-    "thm3": dict(
+    "thm3": Study(
+        command="taper-study",
         model=SigmaModel.bandable(1.0, 0.3, 64),
         estimators=("tau",),
         n_grid=(300, 600, 1200, 2400, 4800, 9600),
@@ -80,16 +238,22 @@ _PRESETS = {
             Functional.taper_err(k=32),
         ),
         reps=50,
+        metrics=_thm3_metrics,
+        gates=(("slope_sq", -0.87, -0.47), ("kcurve_interior", 1.0, 1.0)),
     ),
-    "thm4": dict(
+    "thm4": Study(
+        command="pca-study",
         model=SigmaModel.ar1(0.5, 10),
         estimators=("tau",),
         n_grid=(250, 500, 1000, 2000, 4000),
         d_grid=(10,),
         functionals=(Functional.proj_dist(2),),
         reps=100,
+        metrics=_thm4_metrics,
+        gates=(("slope", -0.70, -0.30),),
     ),
-    "thm5": dict(
+    "thm5": Study(
+        command="pca-study",
         model=SigmaModel.spiked(2.0, 3, 30),
         estimators=("tau",),
         n_grid=(200, 400, 800, 1600, 3200),
@@ -99,27 +263,12 @@ _PRESETS = {
             Functional.support_recovery(3),
         ),
         reps=50,
-    ),
-}
-
-# Gate constants for --assert.  Slope windows come from the rate targets
-# (-1/2 for estimation error, -2/3 for the squared taper error at alpha=1)
-# widened for Monte Carlo noise; the ceilings and the recovery floor are
-# calibrated from pilot runs at triple reps (see tests/pilots.py) with
-# max(20%, 4 standard errors) of headroom.
-_GATES = {
-    "thm1": dict(
-        slope_window=(-0.65, -0.35),
-        ratio_ceilings={"tau": 0.78, "rho": 0.78},
-        oracle_ceiling=1.05,
-    ),
-    "thm2": dict(q95_ratio_ceiling=1.80),
-    "thm3": dict(slope_sq_window=(-0.87, -0.47)),
-    "thm4": dict(slope_window=(-0.70, -0.30)),
-    "thm5": dict(
-        slope_window=(-0.70, -0.30),
-        max_inversions=1,
-        recovery_floor=0.80,
+        metrics=_thm5_metrics,
+        gates=(
+            ("slope_median", -0.70, -0.30),
+            ("median_inversions", None, 1.0),
+            ("recovery_at_nmax", 0.80, None),
+        ),
     ),
 }
 
@@ -145,12 +294,12 @@ def _build_parser():
     )
     est.set_defaults(func=_cmd_estimate)
 
-    studies = (
-        ("simulate", ("thm1", "thm2"), "estimation-error rate study"),
-        ("taper-study", ("thm3",), "taper bandwidth study"),
-        ("pca-study", ("thm4", "thm5"), "eigenstructure recovery study"),
-    )
-    for name, presets, help_text in studies:
+    for name, help_text in (
+        ("simulate", "estimation-error rate study"),
+        ("taper-study", "taper bandwidth study"),
+        ("pca-study", "eigenstructure recovery study"),
+    ):
+        presets = [key for key, study in STUDIES.items() if study.command == name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--preset", required=True, choices=presets)
         p.add_argument("--seed", type=int, default=0)
@@ -234,15 +383,6 @@ def _write_matrix_csv(path, entries):
             writer.writerow(["%.17g" % v for v in row])
 
 
-def _tied_columns(values):
-    tied = []
-    for j in range(values.shape[1]):
-        col = np.sort(values[:, j])
-        if col.size > 1 and (np.diff(col) == 0.0).any():
-            tied.append(j)
-    return tied
-
-
 def _tagged_path(path, tag):
     stem, suffix = os.path.splitext(path)
     return "%s.%s%s" % (stem, tag, suffix)
@@ -255,7 +395,7 @@ def _cmd_estimate(args):
             "estimation needs at least 2 rows, found %d" % values.shape[0]
         )
     data = DataMatrix(values)
-    tied = _tied_columns(data.entries)
+    tied = _tied_columns(np.sort(data.entries, axis=0))
     if tied:
         print(
             "error: tied values in column%s %s; rank estimation needs "
@@ -307,165 +447,15 @@ def _cmd_estimate(args):
     return EXIT_OK
 
 
-def _preset_config(preset, seed, reps, n_grid):
-    spec = _PRESETS[preset]
-    return ExperimentConfig(
-        model=spec["model"],
-        estimators=spec["estimators"],
-        n_grid=spec["n_grid"] if n_grid is None else n_grid,
-        d_grid=spec["d_grid"],
-        functionals=spec["functionals"],
-        reps=spec["reps"] if reps is None else reps,
-        seed=seed,
-    )
-
-
-def _maybe(compute):
-    """Run a scalar study metric, mapping an undersized grid to nan."""
-    try:
-        return compute()
-    except ValueError:
-        return math.nan
-
-
-def _maybe_fit(compute):
-    """Run a slope fit, mapping an undersized grid to (nan, nan)."""
-    try:
-        return compute()
-    except ValueError:
-        return (math.nan, math.nan)
-
-
-def _mean_square(result, n, functional):
-    values = [
-        r.value for r in result.records
-        if r.n == n and r.functional == functional
-    ]
-    if not values:
-        return math.nan
-    return float(np.mean(np.square(values)))
-
-
-def _study_metrics(preset, config, result):
-    rows = []
-    if preset == "thm1":
-        for estimator in config.estimators:
-            slope, stderr = _maybe_fit(
-                lambda e=estimator: rate_fit(result, "spec_err", vary="n", estimator=e)
-            )
-            rows.append(("slope_%s" % estimator, slope))
-            rows.append(("slope_stderr_%s" % estimator, stderr))
-        rows.append(("target_slope", -0.5))
-        for estimator in config.estimators:
-            rows.append(
-                (
-                    "ratio_thm1_%s" % estimator,
-                    bound_ratio(result, "spec_err", "thm1", estimator=estimator),
-                )
-            )
-    elif preset == "thm2":
-        label = config.functionals[0].label
-        rows.append(("ratio_thm2_q95", bound_ratio(result, label, "thm2")))
-    elif preset == "thm3":
-        alpha_label = next(
-            f.label for f in config.functionals if f.alpha is not None
-        )
-        slope, stderr = _maybe_fit(
-            lambda: rate_fit(result, alpha_label, vary="n", power=2.0)
-        )
-        rows.append(("slope_sq", slope))
-        rows.append(("slope_sq_stderr", stderr))
-        rows.append(("target_slope", -2.0 / 3.0))
-        ks = sorted(f.k for f in config.functionals if f.k is not None)
-        grid = sorted(config.n_grid)
-        curve_n = grid[len(grid) // 2]
-        curve = [_mean_square(result, curve_n, "taper_err_k%d" % k) for k in ks]
-        best = int(np.argmin(curve))
-        rows.append(("kcurve_n", float(curve_n)))
-        for k, value in zip(ks, curve):
-            rows.append(("kcurve_mse_k%d" % k, value))
-        rows.append(("kcurve_argmin_k", float(ks[best])))
-        rows.append(("kcurve_interior", float(0 < best < len(ks) - 1)))
-    elif preset == "thm4":
-        label = config.functionals[0].label
-        slope, stderr = _maybe_fit(lambda: rate_fit(result, label, vary="n"))
-        rows.append(("slope", slope))
-        rows.append(("slope_stderr", stderr))
-        rows.append(("target_slope", -0.5))
-    elif preset == "thm5":
-        angle = next(
-            f.label for f in config.functionals if f.name == "sin_angle_sparse"
-        )
-        recovery = next(
-            f.label for f in config.functionals if f.name == "support_recovery"
-        )
-        slope, stderr = _maybe_fit(
-            lambda: rate_fit(result, angle, vary="n", stat="median")
-        )
-        rows.append(("slope_median", slope))
-        rows.append(("slope_stderr", stderr))
-        rows.append(("target_slope", -0.5))
-        inversions = _maybe(
-            lambda: float(trend_inversions(result, angle, vary="n", stat="median"))
-        )
-        rows.append(("median_inversions", inversions))
-        n_max = max(config.n_grid)
-        at_max = [
-            r.value for r in result.records
-            if r.n == n_max and r.functional == recovery
-        ]
-        rows.append(("nmax", float(n_max)))
-        rows.append(("recovery_at_nmax", float(np.mean(at_max))))
-    return rows
-
-
-def _gate_failures(preset, metrics):
-    gates = _GATES[preset]
-    values = dict(metrics)
-    failures = []
-
-    def window(name, bounds):
-        v = values.get(name, math.nan)
-        if not bounds[0] <= v <= bounds[1]:
-            failures.append(
-                "%s=%.6g outside [%g, %g]" % (name, v, bounds[0], bounds[1])
-            )
-
-    def ceiling(name, top):
-        v = values.get(name, math.nan)
-        if not v <= top:
-            failures.append("%s=%.6g exceeds %g" % (name, v, top))
-
-    if preset == "thm1":
-        for estimator in ("tau", "rho"):
-            window("slope_%s" % estimator, gates["slope_window"])
-            ceiling("ratio_thm1_%s" % estimator, gates["ratio_ceilings"][estimator])
-        ceiling("ratio_thm1_oracle", gates["oracle_ceiling"])
-    elif preset == "thm2":
-        ceiling("ratio_thm2_q95", gates["q95_ratio_ceiling"])
-    elif preset == "thm3":
-        window("slope_sq", gates["slope_sq_window"])
-        window("kcurve_interior", (1.0, 1.0))
-    elif preset == "thm4":
-        window("slope", gates["slope_window"])
-    elif preset == "thm5":
-        window("slope_median", gates["slope_window"])
-        ceiling("median_inversions", float(gates["max_inversions"]))
-        floor = gates["recovery_floor"]
-        v = values.get("recovery_at_nmax", math.nan)
-        if not v >= floor:
-            failures.append("recovery_at_nmax=%.6g below %g" % (v, floor))
-    return failures
-
-
 def _cmd_study(args):
     threads = _resolve_threads(args.threads)
-    config = _preset_config(args.preset, args.seed, args.reps, args.n_grid)
+    study = STUDIES[args.preset]
+    config = study.config(args.seed, args.reps, args.n_grid)
     result = run_experiment(config, threads=threads)
     os.makedirs(args.out_dir, exist_ok=True)
     write_records_csv(result, os.path.join(args.out_dir, "records.csv"))
     write_summary_csv(result, os.path.join(args.out_dir, "summary.csv"))
-    metrics = _study_metrics(args.preset, config, result)
+    metrics = study.metrics(result)
     with open(os.path.join(args.out_dir, "study.csv"), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["metric", "value"])
@@ -479,7 +469,7 @@ def _cmd_study(args):
             file=sys.stderr,
         )
     if args.assert_gates:
-        failures = _gate_failures(args.preset, metrics)
+        failures = study.gate_failures(metrics, result.failures)
         for line in failures:
             print("assert failed: %s" % line, file=sys.stderr)
         if failures:

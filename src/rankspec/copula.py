@@ -157,11 +157,10 @@ def _gaussian_matrix(seed, n, d, attempt):
     return np.random.Generator(bits).standard_normal((n, d))
 
 
-def _tied_column(x):
-    ordered = np.sort(x, axis=0)
+def _tied_columns(ordered):
+    """Indices of the columns of a column-sorted array that repeat a value."""
     collide = (np.diff(ordered, axis=0) == 0).any(axis=0)
-    hits = np.nonzero(collide)[0]
-    return int(hits[0]) if hits.size else None
+    return [int(j) for j in np.nonzero(collide)[0]]
 
 
 def sample_latent(sigma, n, seed):
@@ -190,10 +189,10 @@ def sample_latent(sigma, n, seed):
     d = sigma.dim
     for attempt in (0, 1):
         x = _gaussian_matrix(seed, n, d, attempt) @ root
-        column = _tied_column(x)
-        if column is None:
+        tied = _tied_columns(np.sort(x, axis=0))
+        if not tied:
             return DataMatrix(x)
-    raise TieError(column, "tied values generated in column %d twice" % column)
+    raise TieError(tied[0], "tied values generated in column %d twice" % tied[0])
 
 
 _TRANSFORMS = {

@@ -438,7 +438,10 @@ def _estimate(name, y):
     return oracle_sample_corr(y)
 
 
-def _evaluate(f, est, x, ctx, n, d):
+def _evaluate(f, est, x, ctx, n, d, sparse):
+    """Value of functional f for estimate est.  sparse caches sparse_pca(est, s)
+    by s and is filled only on success, so a failing enumeration fails each
+    functional that needs it with that functional's own reason."""
     sigma = ctx.sigma
     if f.name == "spec_err":
         return spectral_norm(SymMatrix(est.entries - sigma.entries))
@@ -451,12 +454,14 @@ def _evaluate(f, est, x, ctx, n, d):
         k = f.k if f.k is not None else optimal_bandwidth(n, d, f.alpha)
         tapered = taper_estimate(est, TaperSpec(k))
         return spectral_norm(SymMatrix(tapered.entries - sigma.entries))
-    if f.name == "sin_angle_sparse":
-        hat = sparse_pca(est, f.s)
-        return sin_angle(hat.leading_vector, ctx.pop_sparse[f.s].leading_vector)
-    if f.name == "support_recovery":
-        hat = sparse_pca(est, f.s)
-        return float(hat.support == ctx.pop_sparse[f.s].support)
+    if f.name in ("sin_angle_sparse", "support_recovery"):
+        hat = sparse.get(f.s)
+        if hat is None:
+            hat = sparse[f.s] = sparse_pca(est, f.s)
+        pop = ctx.pop_sparse[f.s]
+        if f.name == "sin_angle_sparse":
+            return sin_angle(hat.leading_vector, pop.leading_vector)
+        return float(hat.support == pop.support)
     if f.name == "proj_dist":
         return pca_projections_compare(sigma, est, f.k)
     if f.name == "hoeffding_report":
@@ -485,9 +490,10 @@ def _run_one(cfg, ctx, cell_idx, n, d, rep):
             for f in cfg.functionals:
                 failures.append(Failure(n, d, est, f.label, rep, reason))
             continue
+        sparse = {}
         for f in cfg.functionals:
             try:
-                value = _evaluate(f, matrix, x, ctx, n, d)
+                value = _evaluate(f, matrix, x, ctx, n, d, sparse)
             except (RankspecError, ValueError) as exc:
                 failures.append(
                     Failure(n, d, est, f.label, rep, "functional %s: %s" % (f.label, exc))

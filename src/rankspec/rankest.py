@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import DataMatrix
+from .copula import DataMatrix, _tied_columns
 from .errors import TieError
 from .linalg import CorrMatrix, SymMatrix
 
@@ -52,11 +52,9 @@ def _strict_orders_and_ranks(x):
     """Per-column sort order and 0-based ranks; rejects tied columns."""
     n, d = x.shape
     order = np.argsort(x, axis=0)
-    sorted_vals = np.take_along_axis(x, order, axis=0)
-    tied = (np.diff(sorted_vals, axis=0) == 0).any(axis=0)
-    hits = np.nonzero(tied)[0]
-    if hits.size:
-        raise TieError(int(hits[0]))
+    tied = _tied_columns(np.take_along_axis(x, order, axis=0))
+    if tied:
+        raise TieError(tied[0])
     # int32 ranks halve memory traffic; offsets of (n+1)*d must stay in range
     dtype = np.int32 if (n + 1) * d < 2**31 else np.int64
     ranks = np.empty((n, d), dtype=dtype)

@@ -20,16 +20,9 @@ import time
 
 import numpy as np
 
-from rankspec.cli import _PRESETS
+from rankspec.cli import STUDIES
 from rankspec.copula import realize_sigma
-from rankspec.harness import (
-    ExperimentConfig,
-    bound_ratio,
-    rate_fit,
-    run_experiment,
-    subset,
-    trend_inversions,
-)
+from rankspec.harness import ExperimentConfig, run_experiment
 from rankspec.linalg import spectral_norm
 
 PILOT_SEED = 424242
@@ -88,18 +81,12 @@ GOLDENS = {
 }
 
 
-def _config(preset, reps, **overrides):
-    spec = dict(_PRESETS[preset])
-    spec.update(overrides)
-    return ExperimentConfig(
-        model=spec["model"],
-        estimators=spec["estimators"],
-        n_grid=spec["n_grid"],
-        d_grid=spec["d_grid"],
-        functionals=spec["functionals"],
-        reps=reps,
-        seed=PILOT_SEED,
-    )
+def _run(preset, reps):
+    """Result of the preset's study at PILOT_SEED and its study.csv metrics."""
+    study = STUDIES[preset]
+    result = run_experiment(study.config(PILOT_SEED, reps=reps))
+    assert not result.failures, result.failures[:3]
+    return result, dict(study.metrics(result))
 
 
 def _cell_values(result, n, estimator, functional):
@@ -160,26 +147,26 @@ def _ceiling(value, se):
 
 
 def thm1(reps=300):
-    cfg = _config("thm1", reps)
-    result = run_experiment(cfg)
+    result, metrics = _run("thm1", reps)
     out = {"reps": reps}
     for estimator in ("tau", "rho", "oracle"):
-        out["slope_%s" % estimator] = rate_fit(
-            result, "spec_err", vary="n", estimator=estimator
+        out["slope_%s" % estimator] = (
+            metrics["slope_%s" % estimator],
+            metrics["slope_stderr_%s" % estimator],
         )
+    model = result.config.model
     for estimator in ("tau", "rho"):
-        ratio, se = _max_cell_mean_ratio(result, estimator, cfg.model)
+        ratio, se = _max_cell_mean_ratio(result, estimator, model)
         out["max_ratio_%s" % estimator] = (ratio, se)
         out["ratio_ceiling_%s" % estimator] = _ceiling(ratio, se)
-    out["oracle_ratio"] = _oracle_rms_ratio(result, cfg.model)
+    out["oracle_ratio"] = _oracle_rms_ratio(result, model)
     return out
 
 
 def thm2(reps=600):
-    cfg = _config("thm2", reps)
-    result = run_experiment(cfg)
+    result, metrics = _run("thm2", reps)
+    cfg = result.config
     label = cfg.functionals[0].label
-    ratio = bound_ratio(result, label, "thm2")
     t = math.log(20.0)
     s = cfg.functionals[0].s
     best = (-math.inf, 0.0)
@@ -190,7 +177,7 @@ def thm2(reps=600):
         cell = float(np.quantile(arr, 0.95)) / denom
         if cell > best[0]:
             best = (cell, _bootstrap_q95_se(arr, denom))
-    assert abs(best[0] - ratio) < 1e-12
+    assert abs(best[0] - metrics["ratio_thm2_q95"]) < 1e-12
     return {
         "reps": reps,
         "q95_ratio": best,
@@ -199,48 +186,34 @@ def thm2(reps=600):
 
 
 def thm3(reps=50):
-    cfg = _config("thm3", reps)
-    result = run_experiment(cfg)
-    out = {"reps": reps}
-    out["slope_sq"] = rate_fit(result, "taper_err_a1", vary="n", power=2.0)
-    grid = sorted(cfg.n_grid)
-    curve_n = grid[len(grid) // 2]
-    ks = sorted(f.k for f in cfg.functionals if f.k is not None)
-    curve = {}
-    for k in ks:
-        arr = _cell_values(result, curve_n, "tau", "taper_err_k%d" % k)
-        curve[k] = float(np.mean(np.square(arr)))
-    best = min(curve, key=curve.get)
-    out["kcurve_n"] = curve_n
-    out["kcurve"] = curve
-    out["argmin_k"] = best
-    out["interior"] = 0 < ks.index(best) < len(ks) - 1
-    return out
+    result, metrics = _run("thm3", reps)
+    ks = sorted(f.k for f in result.config.functionals if f.k is not None)
+    return {
+        "reps": reps,
+        "slope_sq": (metrics["slope_sq"], metrics["slope_sq_stderr"]),
+        "kcurve_n": int(metrics["kcurve_n"]),
+        "kcurve": {k: metrics["kcurve_mse_k%d" % k] for k in ks},
+        "argmin_k": int(metrics["kcurve_argmin_k"]),
+        "interior": metrics["kcurve_interior"] == 1.0,
+    }
 
 
 def thm4(reps=300):
-    cfg = _config("thm4", reps)
-    result = run_experiment(cfg)
-    return {"reps": reps, "slope": rate_fit(result, "proj_dist_k2", vary="n")}
+    _, metrics = _run("thm4", reps)
+    return {"reps": reps, "slope": (metrics["slope"], metrics["slope_stderr"])}
 
 
 def thm5(reps=150):
-    cfg = _config("thm5", reps)
-    result = run_experiment(cfg)
-    out = {"reps": reps}
-    out["slope_median"] = rate_fit(
-        result, "sin_angle_sparse_s3", vary="n", stat="median"
-    )
-    out["median_inversions"] = trend_inversions(
-        result, "sin_angle_sparse_s3", vary="n", stat="median"
-    )
-    n_max = max(cfg.n_grid)
-    hits = _cell_values(result, n_max, "tau", "support_recovery_s3")
-    p = float(hits.mean())
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / hits.size) / hits.size)
-    out["recovery_at_nmax"] = (p, se)
-    out["recovery_floor"] = p - max(0.2 * p, 4.0 * se)
-    return out
+    _, metrics = _run("thm5", reps)
+    p = metrics["recovery_at_nmax"]
+    se = math.sqrt(max(p * (1.0 - p), 1.0 / reps) / reps)
+    return {
+        "reps": reps,
+        "slope_median": (metrics["slope_median"], metrics["slope_stderr"]),
+        "median_inversions": int(metrics["median_inversions"]),
+        "recovery_at_nmax": (p, se),
+        "recovery_floor": p - max(0.2 * p, 4.0 * se),
+    }
 
 
 def hoeffding(reps=600):
@@ -269,7 +242,7 @@ def hoeffding(reps=600):
     }
 
 
-_STUDIES = {
+_PILOTS = {
     "thm1": thm1,
     "thm2": thm2,
     "thm3": thm3,
@@ -280,10 +253,10 @@ _STUDIES = {
 
 
 def main(argv):
-    names = argv or sorted(_STUDIES)
+    names = argv or sorted(_PILOTS)
     for name in names:
         start = time.time()
-        report = _STUDIES[name]()
+        report = _PILOTS[name]()
         print('    "%s": {' % name)
         for key, value in report.items():
             print("        %r: %r," % (key, value))

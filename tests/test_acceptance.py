@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from pilots import GOLDENS
-from rankspec.cli import _GATES, _PRESETS
+from rankspec.cli import STUDIES
 from rankspec.copula import (
     DataMatrix,
     SigmaModel,
@@ -28,13 +28,11 @@ from rankspec.copula import (
 )
 from rankspec.harness import (
     ExperimentConfig,
+    ExperimentResult,
     Functional,
-    bound_ratio,
-    rate_fit,
+    Record,
     replicate_seed,
     run_experiment,
-    subset,
-    trend_inversions,
 )
 from rankspec.kernels import hbar, hbar0, inequality_sweep
 from rankspec.linalg import SymMatrix, sparse_spectral_norm, spectral_norm
@@ -50,44 +48,34 @@ from rankspec.rankest import (
 SEED = 20260814
 
 
-def preset_config(preset, **overrides):
-    spec = dict(_PRESETS[preset])
-    spec.update(overrides)
-    return ExperimentConfig(
-        model=spec["model"],
-        estimators=spec["estimators"],
-        n_grid=spec["n_grid"],
-        d_grid=spec["d_grid"],
-        functionals=spec["functionals"],
-        reps=spec["reps"],
-        seed=SEED,
-    )
-
-
-def timed_run(config):
+def timed_run(preset, **overrides):
+    """(result, study.csv metrics as a dict, gate failures, seconds)."""
+    study = STUDIES[preset]
     start = time.monotonic()
-    result = run_experiment(config)
-    return result, time.monotonic() - start
+    result = run_experiment(study.config(SEED, **overrides))
+    elapsed = time.monotonic() - start
+    metrics = study.metrics(result)
+    return result, dict(metrics), study.gate_failures(metrics, result.failures), elapsed
 
 
 @pytest.fixture(scope="module")
 def thm1_run():
-    return timed_run(preset_config("thm1", reps=100))
+    return timed_run("thm1", reps=100)
 
 
 @pytest.fixture(scope="module")
 def thm2_run():
-    return timed_run(preset_config("thm2", n_grid=(2000,), reps=200))
+    return timed_run("thm2", n_grid=(2000,), reps=200)
 
 
 @pytest.fixture(scope="module")
 def thm3_run():
-    return timed_run(preset_config("thm3", reps=50))
+    return timed_run("thm3", reps=50)
 
 
 @pytest.fixture(scope="module")
 def thm5_run():
-    return timed_run(preset_config("thm5", reps=50))
+    return timed_run("thm5", reps=50)
 
 
 def test_fast_rank_matrices_match_definitional_bruteforce():
@@ -210,23 +198,20 @@ def test_hajek_residual_second_moment_bound():
 
 
 def test_sine_map_error_rate_and_ratio_ceilings(thm1_run):
-    result, elapsed = thm1_run
+    # slopes of tau and rho in their window, error/rate ratios under the
+    # pilot ceilings, the oracle under its explicit bound
+    result, metrics, failures, elapsed = thm1_run
     assert not result.failures
-    for estimator in ("tau", "rho"):
-        slope, stderr = rate_fit(result, "spec_err", vary="n", estimator=estimator)
-        assert -0.65 <= slope <= -0.35, (estimator, slope, stderr)
-        ratio = bound_ratio(result, "spec_err", "thm1", estimator=estimator)
-        ceiling = GOLDENS["thm1"]["ratio_ceiling_%s" % estimator]
-        assert ratio <= ceiling, (estimator, ratio, ceiling)
+    assert not failures, (failures, metrics)
     assert elapsed < 600.0
 
 
 def test_latent_sample_correlation_explicit_bound(thm1_run):
-    result, _ = thm1_run
+    result, metrics, _, _ = thm1_run
     # the oracle bound has explicit constants, so 1 is a hard ceiling
     # (5% Monte Carlo allowance); the rms form is at least as large as
     # the per-cell mean, so gate both
-    assert bound_ratio(result, "spec_err", "thm1", estimator="oracle") <= 1.05
+    assert metrics["ratio_thm1_oracle"] <= 1.05
     model = result.config.model
     norm = spectral_norm(realize_sigma(model).base)
     for n, d in result.config.cells:
@@ -243,53 +228,24 @@ def test_latent_sample_correlation_explicit_bound(thm1_run):
 
 
 def test_taper_rate_and_bandwidth_tradeoff(thm3_run):
-    result, elapsed = thm3_run
+    # squared-error slope in its window, and the error-vs-bandwidth curve
+    # at the middle sample size dips at an interior k
+    result, metrics, failures, elapsed = thm3_run
     assert not result.failures
-    slope, stderr = rate_fit(result, "taper_err_a1", vary="n", power=2.0)
-    assert -0.87 <= slope <= -0.47, (slope, stderr)
-    # squared error against bandwidth at the middle sample size should
-    # dip at an interior k: small k is bias-dominated, large k is
-    # variance-dominated
-    grid = sorted(result.config.n_grid)
-    curve_n = grid[len(grid) // 2]
-    ks = sorted(f.k for f in result.config.functionals if f.k is not None)
-    curve = []
-    for k in ks:
-        values = [
-            r.value for r in result.records
-            if r.n == curve_n and r.functional == "taper_err_k%d" % k
-        ]
-        curve.append(float(np.mean(np.square(values))))
-    best = int(np.argmin(curve))
-    assert 0 < best < len(ks) - 1, (curve_n, ks, curve)
+    assert not failures, (failures, metrics)
     assert elapsed < 900.0
 
 
 def test_sparse_leading_direction_recovery(thm5_run):
-    result, _ = thm5_run
+    result, metrics, failures, _ = thm5_run
     assert not result.failures
-    assert (
-        trend_inversions(result, "sin_angle_sparse_s3", vary="n", stat="median") <= 1
-    )
-    slope, stderr = rate_fit(
-        result, "sin_angle_sparse_s3", vary="n", stat="median"
-    )
-    assert -0.7 <= slope <= -0.3, (slope, stderr)
-    n_max = max(result.config.n_grid)
-    hits = [
-        r.value for r in result.records
-        if r.n == n_max and r.functional == "support_recovery_s3"
-    ]
-    floor = GOLDENS["thm5"]["recovery_floor"]
-    assert np.mean(hits) >= floor, (np.mean(hits), floor)
+    assert not failures, (failures, metrics)
 
 
 def test_sparse_norm_deviation_quantile_and_enumeration(thm2_run):
-    result, _ = thm2_run
+    result, metrics, failures, _ = thm2_run
     assert not result.failures
-    ratio = bound_ratio(result, "sparse_spec_err_s3", "thm2")
-    ceiling = GOLDENS["thm2"]["q95_ceiling"]
-    assert ratio <= ceiling, (ratio, ceiling)
+    assert not failures, (failures, metrics)
     # replay a few replicates and require forward and reversed support
     # enumeration to return the same maximizer
     config = result.config
@@ -308,19 +264,66 @@ def test_sparse_norm_deviation_quantile_and_enumeration(thm2_run):
         assert recorded[0] == forward[0]
 
 
+def _constant_result(config):
+    records = [
+        Record(n, d, e, f.label, rep, 1.0)
+        for n, d in config.cells
+        for rep in range(config.reps)
+        for e in config.estimators
+        for f in config.functionals
+    ]
+    return ExperimentResult(records, config=config)
+
+
 def test_cli_gates_match_pilot_calibration():
     # the shipped --assert gates and the acceptance ceilings must be the
     # same numbers, both frozen from tests/pilots.py
-    assert _GATES["thm1"]["ratio_ceilings"]["tau"] == GOLDENS["thm1"]["ratio_ceiling_tau"]
-    assert _GATES["thm1"]["ratio_ceilings"]["rho"] == GOLDENS["thm1"]["ratio_ceiling_rho"]
-    assert _GATES["thm2"]["q95_ratio_ceiling"] == GOLDENS["thm2"]["q95_ceiling"]
-    assert _GATES["thm5"]["recovery_floor"] == GOLDENS["thm5"]["recovery_floor"]
-    for golden, gate in (
-        ("slope_tau", "thm1"),
-        ("slope_rho", "thm1"),
-    ):
-        lo, hi = _GATES[gate]["slope_window"]
-        value = GOLDENS["thm1"][golden][0]
-        assert lo <= value <= hi
-    lo, hi = _GATES["thm3"]["slope_sq_window"]
-    assert lo <= GOLDENS["thm3"]["slope_sq"][0] <= hi
+    gates = {preset: study.gates for preset, study in STUDIES.items()}
+    assert gates == {
+        "thm1": (
+            ("slope_tau", -0.65, -0.35),
+            ("ratio_thm1_tau", None, GOLDENS["thm1"]["ratio_ceiling_tau"]),
+            ("slope_rho", -0.65, -0.35),
+            ("ratio_thm1_rho", None, GOLDENS["thm1"]["ratio_ceiling_rho"]),
+            ("ratio_thm1_oracle", None, 1.05),
+        ),
+        "thm2": (("ratio_thm2_q95", None, GOLDENS["thm2"]["q95_ceiling"]),),
+        "thm3": (("slope_sq", -0.87, -0.47), ("kcurve_interior", 1.0, 1.0)),
+        "thm4": (("slope", -0.70, -0.30),),
+        "thm5": (
+            ("slope_median", -0.70, -0.30),
+            ("median_inversions", None, 1.0),
+            ("recovery_at_nmax", GOLDENS["thm5"]["recovery_floor"], None),
+        ),
+    }
+    # the pilot slopes land inside the windows
+    for preset, g in gates.items():
+        for name, lo, hi in g:
+            if name.startswith("slope"):
+                assert lo <= GOLDENS[preset][name][0] <= hi, (preset, name)
+
+
+def test_study_metric_names_and_order():
+    names = {}
+    for preset, study in STUDIES.items():
+        rows = study.metrics(_constant_result(study.config(SEED, reps=2)))
+        names[preset] = [name for name, _ in rows]
+    assert names == {
+        "thm1": [
+            "slope_tau", "slope_stderr_tau", "slope_rho", "slope_stderr_rho",
+            "slope_oracle", "slope_stderr_oracle", "target_slope",
+            "ratio_thm1_tau", "ratio_thm1_rho", "ratio_thm1_oracle",
+        ],
+        "thm2": ["ratio_thm2_q95"],
+        "thm3": [
+            "slope_sq", "slope_sq_stderr", "target_slope", "kcurve_n",
+            "kcurve_mse_k2", "kcurve_mse_k4", "kcurve_mse_k8",
+            "kcurve_mse_k16", "kcurve_mse_k32", "kcurve_argmin_k",
+            "kcurve_interior",
+        ],
+        "thm4": ["slope", "slope_stderr", "target_slope"],
+        "thm5": [
+            "slope_median", "slope_stderr", "target_slope",
+            "median_inversions", "nmax", "recovery_at_nmax",
+        ],
+    }

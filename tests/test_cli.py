@@ -2,12 +2,14 @@ import csv
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rankspec.cli import _GATES, _gate_failures, main
-from rankspec.harness import load_records, rate_fit
+import rankspec.harness as harness
+from rankspec.cli import STUDIES, main
+from rankspec.harness import Failure, load_records, rate_fit
 from rankspec.kernels import SweepReport, SweepRow
 from rankspec.linalg import CorrMatrix
 from rankspec.regularize import TaperSpec, sparse_pca, taper_estimate
@@ -195,6 +197,29 @@ class TestStudies:
         assert code == 1
         assert "assert failed" in capsys.readouterr().err
 
+    def test_assert_fails_on_replicate_failures(self, tmp_path, capsys, monkeypatch):
+        # with no metric gates, replicate failures alone must fail --assert
+        monkeypatch.setitem(STUDIES, "thm4", replace(STUDIES["thm4"], gates=()))
+        real = harness._evaluate
+        calls = []
+
+        def flaky(*args):
+            calls.append(None)
+            if len(calls) % 7 == 0:
+                raise ValueError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_evaluate", flaky)
+        argv = ["pca-study", "--preset", "thm4", "--seed", "7", "--reps", "3",
+                "--n-grid", "100,200,400", "--out-dir", str(tmp_path / "t4")]
+        assert main(argv) == 0
+        assert "warning: 1 replicate failures recorded" in capsys.readouterr().err
+        calls.clear()
+        assert main(argv + ["--assert"]) == 1
+        err = capsys.readouterr().err
+        assert ("assert failed: 1 replicate failures; first: "
+                "functional proj_dist_k2: injected") in err
+
     def test_thm2_ratio_metric(self, tmp_path):
         out = tmp_path / "s2"
         assert main(["simulate", "--preset", "thm2", "--seed", "5",
@@ -284,32 +309,46 @@ class TestStudies:
 
 class TestGateLogic:
     def test_thm1_gates(self):
-        ceilings = _GATES["thm1"]["ratio_ceilings"]
+        gate_failures = STUDIES["thm1"].gate_failures
+        ceilings = {name: high for name, _, high in STUDIES["thm1"].gates}
         good = [("slope_tau", -0.5), ("slope_rho", -0.45),
-                ("ratio_thm1_tau", 0.9 * ceilings["tau"]),
-                ("ratio_thm1_rho", 0.9 * ceilings["rho"]),
+                ("ratio_thm1_tau", 0.9 * ceilings["ratio_thm1_tau"]),
+                ("ratio_thm1_rho", 0.9 * ceilings["ratio_thm1_rho"]),
                 ("ratio_thm1_oracle", 0.3)]
-        assert _gate_failures("thm1", good) == []
+        assert gate_failures(good) == []
         bad = dict(good)
         bad["slope_tau"] = -0.2
         bad["ratio_thm1_oracle"] = 1.2
-        failures = _gate_failures("thm1", list(bad.items()))
+        failures = gate_failures(list(bad.items()))
         assert len(failures) == 2
         assert any("slope_tau" in f for f in failures)
         assert any("oracle" in f for f in failures)
 
     def test_nan_metrics_fail(self):
-        failures = _gate_failures("thm3", [("slope_sq", math.nan),
-                                           ("kcurve_interior", 1.0)])
+        failures = STUDIES["thm3"].gate_failures(
+            [("slope_sq", math.nan), ("kcurve_interior", 1.0)]
+        )
         assert any("slope_sq" in f for f in failures)
 
     def test_thm5_gates(self):
+        gate_failures = STUDIES["thm5"].gate_failures
         good = [("slope_median", -0.5), ("median_inversions", 1.0),
                 ("recovery_at_nmax", 0.95)]
-        assert _gate_failures("thm5", good) == []
+        assert gate_failures(good) == []
         worse = [("slope_median", -0.5), ("median_inversions", 2.0),
                  ("recovery_at_nmax", 0.2)]
-        assert len(_gate_failures("thm5", worse)) == 2
+        assert gate_failures(worse) == [
+            "median_inversions=2 exceeds 1",
+            "recovery_at_nmax=0.2 below 0.8",
+        ]
+
+    def test_replicate_failures_fail(self):
+        good = [("slope", -0.5)]
+        failure = Failure(250, 10, "tau", "proj_dist_k2", 3, "functional proj_dist_k2: x")
+        assert STUDIES["thm4"].gate_failures(good, ()) == []
+        assert STUDIES["thm4"].gate_failures(good, (failure, failure)) == [
+            "2 replicate failures; first: functional proj_dist_k2: x"
+        ]
 
 
 class TestKernelCheck:

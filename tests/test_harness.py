@@ -328,6 +328,59 @@ class TestRunExperiment:
         assert all(f.functional == "proj_dist_k1" for f in res.failures)
         assert all(f.reason.startswith("functional proj_dist_k1:") for f in res.failures)
 
+    def test_sparse_direction_enumerated_once_per_estimate(self, monkeypatch):
+        import rankspec.harness as harness
+
+        real = harness.sparse_pca
+        calls = []
+
+        def counted(sigma, s):
+            calls.append(s)
+            return real(sigma, s)
+
+        monkeypatch.setattr(harness, "sparse_pca", counted)
+        cfg = ar1_cfg(
+            model=SigmaModel.spiked(2.0, 3, 8),
+            estimators=("tau", "rho"),
+            n_grid=(100, 200),
+            d_grid=(8,),
+            functionals=(Functional.sin_angle_sparse(3), Functional.support_recovery(3)),
+            reps=2,
+        )
+        res = run_experiment(cfg)
+        assert not res.failures
+        # one for the population direction, then one per (replicate, estimator)
+        assert len(calls) == 1 + 2 * 2 * 2
+
+    def test_sparse_failure_reported_per_functional(self, monkeypatch):
+        import rankspec.harness as harness
+
+        real = harness.sparse_pca
+        calls = []
+
+        def broken(sigma, s):
+            calls.append(s)
+            if len(calls) == 1:  # the population direction
+                return real(sigma, s)
+            raise ValueError("enumeration failed")
+
+        monkeypatch.setattr(harness, "sparse_pca", broken)
+        cfg = ar1_cfg(
+            model=SigmaModel.spiked(2.0, 3, 8),
+            n_grid=(100,),
+            d_grid=(8,),
+            functionals=(Functional.sin_angle_sparse(3), Functional.support_recovery(3)),
+            reps=1,
+        )
+        res = run_experiment(cfg)
+        assert not res.records
+        # a failed enumeration is not cached: each functional retries it
+        assert len(calls) == 3
+        assert [f.reason for f in res.failures] == [
+            "functional sin_angle_sparse_s3: enumeration failed",
+            "functional support_recovery_s3: enumeration failed",
+        ]
+
     def test_degenerate_population_gap_aborts(self):
         # compound(0) realizes the identity, whose top eigengap vanishes
         cfg = ar1_cfg(
