@@ -18,6 +18,7 @@ import csv
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,13 @@ import numpy as np
 from .copula import DataMatrix, SigmaModel, _tied_columns
 from .errors import GuardExceededError, InputError
 from .harness import (
+    _DIM_GUARD,
     ExperimentConfig,
     Functional,
     bound_ratio,
     load_records,
     rate_fit,
+    read_csv_rows,
     run_experiment,
     trend_inversions,
     write_records_csv,
@@ -52,7 +55,8 @@ EXIT_GUARD = 3
 
 def _or_nan(names, compute):
     """Rows pairing names with compute(), or nan for each name when the
-    grid is too small for the statistic (compute raises ValueError)."""
+    statistic cannot be formed (compute raises ValueError): the grid is
+    too small, or every replicate of the functional failed."""
     try:
         values = compute()
     except ValueError:
@@ -70,14 +74,18 @@ def _thm1_metrics(result):
         )
     rows.append(("target_slope", -0.5))
     for e in estimators:
-        rows.append(
-            ("ratio_thm1_%s" % e, bound_ratio(result, "spec_err", "thm1", estimator=e))
+        rows += _or_nan(
+            ("ratio_thm1_%s" % e,),
+            lambda e=e: (bound_ratio(result, "spec_err", "thm1", estimator=e),),
         )
     return rows
 
 
 def _thm2_metrics(result):
-    return [("ratio_thm2_q95", bound_ratio(result, "sparse_spec_err_s3", "thm2"))]
+    return _or_nan(
+        ("ratio_thm2_q95",),
+        lambda: (bound_ratio(result, "sparse_spec_err_s3", "thm2"),),
+    )
 
 
 def _thm3_metrics(result):
@@ -347,33 +355,23 @@ def _resolve_threads(flag):
 
 
 def _read_matrix_csv(path):
-    """Parse a numeric CSV, skipping one autodetected header row."""
-    with open(path, newline="") as handle:
-        raw = list(csv.reader(handle))
-    rows = [
-        (i + 1, row) for i, row in enumerate(raw)
-        if any(field.strip() for field in row)
-    ]
-    if rows:
-        try:
-            [float(field) for field in rows[0][1]]
-        except ValueError:
-            rows = rows[1:]
-    if not rows:
-        raise InputError("no data rows in %s" % path)
-    width = len(rows[0][1])
-    values = np.empty((len(rows), width), dtype=float)
-    for r, (lineno, fields) in enumerate(rows):
-        if len(fields) != width:
+    """Numeric n x d array from the rows of read_csv_rows, parsed one row at
+    a time into a flat float buffer."""
+    values = array("d")
+    width = None
+    for lineno, fields in read_csv_rows(path):
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
             raise InputError(
                 "%s line %d: expected %d fields, found %d"
                 % (path, lineno, width, len(fields))
             )
         try:
-            values[r] = [float(field) for field in fields]
+            values.extend(map(float, fields))
         except ValueError as exc:
             raise InputError("%s line %d: %s" % (path, lineno, exc)) from exc
-    return values
+    return np.frombuffer(values, dtype=float).reshape(-1, width)
 
 
 def _write_matrix_csv(path, entries):
@@ -390,6 +388,10 @@ def _tagged_path(path, tag):
 
 def _cmd_estimate(args):
     values = _read_matrix_csv(args.input)
+    if values.shape[1] > _DIM_GUARD:
+        raise GuardExceededError(
+            "d=%d exceeds the dimension guard %d" % (values.shape[1], _DIM_GUARD)
+        )
     if values.shape[0] < 2:
         raise InputError(
             "estimation needs at least 2 rows, found %d" % values.shape[0]

@@ -23,8 +23,6 @@ __all__ = [
     "realize_sigma",
     "sample_latent",
     "apply_transforms",
-    "bandable_class_constants",
-    "spiked_eigengap",
 ]
 
 
@@ -94,34 +92,6 @@ class SigmaModel:
     @classmethod
     def spiked(cls, lam, s, dim):
         return cls(family="spiked", dim=dim, lam=float(lam), s=int(s))
-
-
-def bandable_class_constants(model):
-    """Tail and spectral constants (m0, m1) of a bandable model.
-
-    Every realization satisfies max_j sum_{|i-j|>k} |Sigma_ij| <= m0 k^-alpha
-    for 1 <= k < d (integral tail bound) and spectral norm <= m1 (Gershgorin).
-    """
-    if model.family != "bandable":
-        raise ValueError("constants are defined for the bandable family only")
-    m0 = 2.0 * model.c / model.alpha
-    m1 = 1.0 + 2.0 * model.c * float(zeta(model.alpha + 1.0))
-    return m0, m1
-
-
-def spiked_eigengap(model):
-    """Analytic gap lambda_1 - lambda_2 of a realized spiked model.
-
-    The leading eigenvector is exactly 1/sqrt(s) on the first s coordinates.
-    The gap is positive only for s >= 2 (at s=1 the rescaled matrix is the
-    identity) and requires d > s for the formula used here.
-    """
-    if model.family != "spiked":
-        raise ValueError("eigengap shortcut is defined for the spiked family only")
-    if not model.dim > model.s:
-        raise ValueError("gap formula requires dim > s")
-    lam, s = model.lam, model.s
-    return lam * (1.0 - 1.0 / s) / (1.0 + lam / s)
 
 
 def realize_sigma(model):

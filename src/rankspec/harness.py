@@ -20,8 +20,15 @@ import numpy as np
 
 from .copula import SigmaModel, TransformSet, apply_transforms, realize_sigma, sample_latent
 from .errors import GuardExceededError, InputError, RankspecError
-from .kernels import delta0_matrix, hoeffding_report
-from .linalg import SymMatrix, eig_sym, norm_max, sin_angle, sparse_spectral_norm, spectral_norm
+from .kernels import hoeffding_report
+from .linalg import (
+    SymMatrix,
+    _top_eigenvectors,
+    norm_max,
+    sin_angle,
+    sparse_spectral_norm,
+    spectral_norm,
+)
 from .rankest import (
     kendall_tau_matrix,
     oracle_sample_corr,
@@ -46,12 +53,12 @@ __all__ = [
     "ExperimentResult",
     "replicate_seed",
     "run_experiment",
-    "subset",
     "rate_fit",
     "trend_inversions",
     "bound_ratio",
     "write_records_csv",
     "write_summary_csv",
+    "read_csv_rows",
     "load_records",
 ]
 
@@ -68,7 +75,6 @@ _FUNCTIONAL_PARAMS = {
     "proj_dist": ("k",),
     "support_recovery": ("s",),
     "hoeffding_report": (),
-    "delta0_spec": (),
 }
 
 _ENUMERATION_GUARD = 10**7
@@ -87,11 +93,10 @@ class Functional:
     sin_angle_sparse(s) and support_recovery(s) for the s-sparse leading
     direction and proj_dist(k) for the top-k eigenprojection distance.
 
-    hoeffding_report and delta0_spec are population-side diagnostics of the
-    tau statistic computed from the latent sample: the squared Frobenius
-    norm of the second-order remainder, and the spectral norm of the
-    zero-order projection.  Both require the estimator list to be exactly
-    (tau,), since their value does not depend on any estimate.
+    hoeffding_report is a population-side diagnostic of the tau statistic
+    computed from the latent sample: the squared Frobenius norm of the
+    second-order remainder.  It requires the estimator list to be exactly
+    (tau,), since its value does not depend on any estimate.
     """
 
     name: str
@@ -169,10 +174,6 @@ class Functional:
     @classmethod
     def hoeffding_report(cls):
         return cls(name="hoeffding_report")
-
-    @classmethod
-    def delta0_spec(cls):
-        return cls(name="delta0_spec")
 
 
 def _check_grid(name, grid, low):
@@ -272,12 +273,11 @@ class ExperimentConfig:
                     "proj_dist needs k < every d in d_grid (k=%d, min d=%d)"
                     % (f.k, d_min)
                 )
-            elif f.name in ("hoeffding_report", "delta0_spec"):
-                if self.estimators != ("tau",):
-                    raise ValueError(
-                        "%s is estimator-independent; run it with estimators=('tau',)"
-                        % f.name
-                    )
+            elif f.name == "hoeffding_report" and self.estimators != ("tau",):
+                raise ValueError(
+                    "%s is estimator-independent; run it with estimators=('tau',)"
+                    % f.name
+                )
         # every cell dimension must realize a valid model before any sampling
         for d in self.d_grid:
             replace(self.model, dim=d)
@@ -416,13 +416,11 @@ def _build_context(cfg, d):
         if f.name in ("sin_angle_sparse", "support_recovery") and f.s not in pop_sparse:
             pop_sparse[f.s] = sparse_pca(sigma, f.s)
         elif f.name == "proj_dist":
-            dec = eig_sym(sigma.base)
-            gap = float(dec.values[f.k - 1] - dec.values[f.k])
-            if gap <= 1e-8:
-                raise ValueError(
-                    "population eigengap %g after position %d at d=%d is too "
-                    "small for proj_dist" % (gap, f.k, d)
-                )
+            _top_eigenvectors(
+                sigma.base, f.k, 1e-8,
+                lambda gap: "population eigengap %g after position %d at d=%d is "
+                "too small for proj_dist" % (gap, f.k, d),
+            )
     return _Context(
         sigma=sigma,
         transforms=TransformSet.cycled(cfg.transforms, d),
@@ -464,9 +462,7 @@ def _evaluate(f, est, x, ctx, n, d, sparse):
         return float(hat.support == pop.support)
     if f.name == "proj_dist":
         return pca_projections_compare(sigma, est, f.k)
-    if f.name == "hoeffding_report":
-        return hoeffding_report(x, sigma).residual_frobenius ** 2
-    return spectral_norm(delta0_matrix(x, sigma))
+    return hoeffding_report(x, sigma).residual_frobenius ** 2
 
 
 def _run_one(cfg, ctx, cell_idx, n, d, rep):
@@ -545,20 +541,6 @@ def run_experiment(cfg, threads=1):
         records.extend(recs)
         failures.extend(fails)
     return ExperimentResult(records=tuple(records), failures=tuple(failures), config=cfg)
-
-
-def subset(result, n=None, d=None, estimator=None, functional=None):
-    """Result restricted to matching records; the config is dropped because
-    the slice no longer covers the configured grid."""
-    keep = [
-        r
-        for r in result.records
-        if (n is None or r.n == n)
-        and (d is None or r.d == d)
-        and (estimator is None or r.estimator == estimator)
-        and (functional is None or r.functional == functional)
-    ]
-    return ExperimentResult(records=tuple(keep))
 
 
 def _select(result, functional, estimator):
@@ -656,11 +638,7 @@ def trend_inversions(result, functional, vary="n", estimator=None, power=1.0,
     return int((steps > 0).sum()) if decreasing else int((steps < 0).sum())
 
 
-def _sigma_spectral_norms(model, dims):
-    return {d: spectral_norm(realize_sigma(replace(model, dim=d)).base) for d in dims}
-
-
-def bound_ratio(result, functional, bound, estimator=None, t=None, model=None):
+def bound_ratio(result, functional, bound, estimator=None, t=math.log(20.0), model=None):
     """Worst observed-to-theoretical error ratio over the grid cells.
 
     bound selects the comparator:
@@ -677,31 +655,24 @@ def bound_ratio(result, functional, bound, estimator=None, t=None, model=None):
       Numerator is the per-cell quantile at level 1 - e^(-t), denominator
       the constant-free shape sqrt(x) + x with x = (t + s log(ed/s)) / n.
       Default t = log 20, putting the quantile at 0.95.
-    - lm4 with functional delta0_spec.  Numerator is the quantile at
-      level 1 - 2 e^(-t^2), denominator the explicit deviation bound
-      5 ||Sigma||_S (sqrt((d + t^2/pi) / (3n)) + (d + (t^2+1)/pi) / n).
-      Default t = sqrt(log 40), again the 0.95 quantile.
 
     The population model is taken from the attached config unless passed
     explicitly (results loaded from CSV carry no config).  Cells whose
     numerator is zero contribute ratio 0.
     """
-    if bound not in ("thm1", "thm2", "lm4"):
-        raise ValueError("bound must be one of thm1, thm2, lm4")
-    expected = {"thm1": "spec_err", "thm2": "sparse_spec_err", "lm4": "delta0_spec"}[bound]
+    if bound not in ("thm1", "thm2"):
+        raise ValueError("bound must be one of thm1, thm2")
     if bound == "thm2":
         prefix = "sparse_spec_err_s"
         if not functional.startswith(prefix):
             raise ValueError("bound thm2 compares a sparse_spec_err functional")
         s = int(functional[len(prefix):])
-    elif functional != expected:
-        raise ValueError("bound %s compares the %s functional" % (bound, expected))
+    elif functional != "spec_err":
+        raise ValueError("bound thm1 compares the spec_err functional")
     if model is None:
         if result.config is None:
             raise ValueError("pass model= when the result has no attached config")
         model = result.config.model
-    if t is None:
-        t = math.log(20.0) if bound == "thm2" else math.sqrt(math.log(40.0))
     if not t > 0:
         raise ValueError("t must be positive")
 
@@ -710,35 +681,26 @@ def bound_ratio(result, functional, bound, estimator=None, t=None, model=None):
     cells = {}
     for r in recs:
         cells.setdefault((r.n, r.d), []).append(r.value)
-    norms = _sigma_spectral_norms(model, sorted(set(d for _, d in cells)))
 
     worst = 0.0
     for (n, d), values in sorted(cells.items()):
         arr = np.asarray(values)
         if bound == "thm1":
+            norm = spectral_norm(realize_sigma(replace(model, dim=d)).base)
             if est == "oracle":
                 num = float(np.sqrt(np.mean(arr * arr)))
-                rhs = norms[d] * (
+                rhs = norm * (
                     2.0 * math.sqrt(2.0 * d / n)
                     + math.sqrt(2.0) * d / n
                     + 6.0 * (d / n**3) ** 0.25
                 )
             else:
                 num = float(arr.mean())
-                rhs = norms[d] * (math.sqrt(d / n) + d / n)
-        elif bound == "thm2":
+                rhs = norm * (math.sqrt(d / n) + d / n)
+        else:
             num = float(np.quantile(arr, 1.0 - math.exp(-t)))
             x = (t + s * math.log(math.e * d / s)) / n
             rhs = math.sqrt(x) + x
-        else:
-            level = 1.0 - 2.0 * math.exp(-t * t)
-            if not level > 0.0:
-                raise ValueError("t gives an empty quantile level; raise t")
-            num = float(np.quantile(arr, level))
-            rhs = 5.0 * norms[d] * (
-                math.sqrt((d + t * t / math.pi) / (3.0 * n))
-                + (d + (t * t + 1.0) / math.pi) / n
-            )
         if num > 0.0:
             worst = max(worst, num / rhs)
     return worst
@@ -773,40 +735,54 @@ def write_summary_csv(result, path):
             )
 
 
+def read_csv_rows(path):
+    """Yield (line number, fields) for each data row of a CSV file.
+
+    Rows whose fields are all blank are skipped, and so is one header: the
+    first non-blank row, when its first field is not a number.  Raises
+    InputError once the file is exhausted if it held no data row.
+    """
+    first, found = True, False
+    with open(path, newline="") as handle:
+        for lineno, fields in enumerate(csv.reader(handle), start=1):
+            if not any(field.strip() for field in fields):
+                continue
+            if first:
+                first = False
+                try:
+                    float(fields[0])
+                except ValueError:
+                    continue
+            found = True
+            yield lineno, fields
+    if not found:
+        raise InputError("no data rows in %s" % path)
+
+
 def load_records(path):
     """Read a records CSV back into an ExperimentResult without a config.
 
-    A single header row is autodetected by its non-numeric first field.
-    Malformed rows raise InputError with the line number.
+    Rows come from read_csv_rows; malformed rows raise InputError with the
+    line number.
     """
     records = []
-    with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if lineno == 1:
-                try:
-                    float(row[0])
-                except ValueError:
-                    continue
-            if len(row) != len(_RECORD_HEADER):
-                raise InputError(
-                    "%s line %d: expected %d fields, got %d"
-                    % (path, lineno, len(_RECORD_HEADER), len(row))
+    for lineno, row in read_csv_rows(path):
+        if len(row) != len(_RECORD_HEADER):
+            raise InputError(
+                "%s line %d: expected %d fields, got %d"
+                % (path, lineno, len(_RECORD_HEADER), len(row))
+            )
+        try:
+            records.append(
+                Record(
+                    n=int(row[0]),
+                    d=int(row[1]),
+                    estimator=row[2],
+                    functional=row[3],
+                    replicate=int(row[4]),
+                    value=float(row[5]),
                 )
-            try:
-                records.append(
-                    Record(
-                        n=int(row[0]),
-                        d=int(row[1]),
-                        estimator=row[2],
-                        functional=row[3],
-                        replicate=int(row[4]),
-                        value=float(row[5]),
-                    )
-                )
-            except ValueError as exc:
-                raise InputError("%s line %d: %s" % (path, lineno, exc)) from exc
-    if not records:
-        raise InputError("no data rows in %s" % path)
+            )
+        except ValueError as exc:
+            raise InputError("%s line %d: %s" % (path, lineno, exc)) from exc
     return ExperimentResult(records=tuple(records))

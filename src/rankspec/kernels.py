@@ -28,7 +28,6 @@ from .rankest import kendall_tau_matrix, rho_pop, tau_pop
 __all__ = [
     "TAU_KERNEL_SLOPE",
     "GBAR_SLOPE",
-    "KernelEval",
     "HoeffdingReport",
     "SweepRow",
     "SweepReport",
@@ -38,7 +37,6 @@ __all__ = [
     "hbar0",
     "g_fn",
     "gbar",
-    "kernel_eval",
     "delta0_matrix",
     "delta1_matrix",
     "hoeffding_report",
@@ -234,46 +232,6 @@ def gbar(x, rho, tol=1e-9):
         previous = estimate
     raise ConvergenceError(
         "gbar quadrature did not stabilize to %g after %d panels" % (tol, panels)
-    )
-
-
-@dataclass(frozen=True)
-class KernelEval:
-    """All kernel pieces at one point (x, y, rho)."""
-
-    x: float
-    y: float
-    rho: float
-    values: dict
-
-    def __post_init__(self):
-        if not abs(self.rho) < 1.0:
-            raise ValueError("rho must lie in (-1, 1)")
-        missing = {"phi2", "hbar", "hbar0_x", "hbar0_y", "g", "gbar_x"} - set(
-            self.values
-        )
-        if missing:
-            raise ValueError("missing kernel values: %s" % sorted(missing))
-        if abs(self.values["hbar"]) > 1.0:
-            raise ValueError("|hbar| must not exceed 1")
-        if max(abs(self.values["hbar0_x"]), abs(self.values["hbar0_y"])) > 1.0:
-            raise ValueError("|hbar0| must not exceed 1")
-
-
-def kernel_eval(x, y, rho):
-    x, y, rho = float(x), float(y), float(rho)
-    return KernelEval(
-        x=x,
-        y=y,
-        rho=rho,
-        values={
-            "phi2": binorm_cdf(x, y, rho),
-            "hbar": hbar(x, y, rho),
-            "hbar0_x": hbar0(x),
-            "hbar0_y": hbar0(y),
-            "g": g_fn(x, y, rho),
-            "gbar_x": gbar(x, rho),
-        },
     )
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "EigenDecomp",
     "eig_sym",
     "spectral_norm",
-    "norm_2_inf",
     "norm_frobenius",
     "norm_max",
     "sparse_spectral_norm",
@@ -162,14 +161,6 @@ def spectral_norm(a):
     return float(max(abs(values[0]), abs(values[-1])))
 
 
-def norm_2_inf(a):
-    """Largest row Euclidean norm (the 2,inf operator norm)."""
-    m = _as_sym(a).entries
-    if not m.any():
-        return 0.0
-    return float(np.sqrt((m * m).sum(axis=1).max()))
-
-
 def norm_frobenius(a):
     m = _as_sym(a).entries
     return float(np.sqrt((m * m).sum()))
@@ -258,13 +249,29 @@ def sin_angle(u, v):
     return math.sqrt(1.0 - c2)
 
 
-def projection_distance(a, b, k):
-    """Spectral norm of the difference of top-k eigenprojections of a and b.
+def _top_eigenvectors(a, k, floor, message):
+    """The k leading eigenvectors of a, as columns.
 
-    Top-k means the k algebraically largest eigenvalues.  Requires the
-    eigengap lambda_k - lambda_{k+1} of each matrix to exceed 1e-10, since
-    below that the projector is not a stable function of the input.
+    Raises ValueError(message(gap)) unless the eigengap
+    gap = lambda_k - lambda_{k+1} exceeds floor, since below that the top-k
+    eigenprojection is not a stable function of a.
     """
+    dec = eig_sym(a)
+    gap = float(dec.values[k - 1] - dec.values[k])
+    if gap <= floor:
+        raise ValueError(message(gap))
+    return dec.vectors[:, :k]
+
+
+def _degenerate(name, k):
+    return lambda gap: "degenerate eigengap in %s matrix: lambda_%d - lambda_%d = %.6e" % (
+        name, k, k + 1, gap
+    )
+
+
+def _projection_distance(a, b, k, floor, message):
+    """projection_distance, with the eigengap of a held to floor instead and
+    ValueError(message(gap)) raised when it falls short."""
     a = _as_sym(a)
     b = _as_sym(b)
     d = a.dim
@@ -272,15 +279,16 @@ def projection_distance(a, b, k):
         raise ValueError("matrices must share a common dimension")
     if not 1 <= k < d:
         raise ValueError("k must satisfy 1 <= k < d, got k=%d with d=%d" % (k, d))
-    projections = []
-    for name, mtx in (("first", a), ("second", b)):
-        dec = eig_sym(mtx)
-        gap = float(dec.values[k - 1] - dec.values[k])
-        if gap <= 1e-10:
-            raise ValueError(
-                "degenerate eigengap in %s matrix: lambda_%d - lambda_%d = %.6e"
-                % (name, k, k + 1, gap)
-            )
-        top = dec.vectors[:, :k]
-        projections.append(top @ top.T)
-    return spectral_norm(SymMatrix(projections[0] - projections[1]))
+    first = _top_eigenvectors(a, k, floor, message)
+    second = _top_eigenvectors(b, k, 1e-10, _degenerate("second", k))
+    return spectral_norm(SymMatrix(first @ first.T - second @ second.T))
+
+
+def projection_distance(a, b, k):
+    """Spectral norm of the difference of top-k eigenprojections of a and b.
+
+    Top-k means the k algebraically largest eigenvalues.  Requires the
+    eigengap lambda_k - lambda_{k+1} of each matrix to exceed 1e-10, since
+    below that the projector is not a stable function of the input.
+    """
+    return _projection_distance(a, b, k, 1e-10, _degenerate("first", k))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import DataMatrix, _tied_columns
-from .errors import TieError
+from .errors import GuardExceededError, TieError
 from .linalg import CorrMatrix, SymMatrix
 
 __all__ = [
@@ -134,14 +134,18 @@ def spearman_rho_matrix(y):
     """All pairwise Spearman rho statistics of a tie-free sample.
 
     Uses centered ranks r - (n+1)/2 with the tie-free closed-form denominator
-    n(n^2-1)/12 per column.  Ranks are half-integers, so the Gram matrix of
-    centered ranks is exact in double precision up to n around 4e5 and the
-    Cauchy-Schwarz bound keeps every entry inside [-1, 1] without clamping.
+    n(n^2-1)/12 per column.  Every partial sum of the centered-rank Gram
+    product is a multiple of 1/4 no larger than n(n^2-1)/12, so it is exact
+    in any summation order while that is at most 2^51 (n <= 300079); larger
+    n raises GuardExceededError.  The Cauchy-Schwarz bound keeps every entry
+    inside [-1, 1] without clamping.
     """
     x = y.entries
     n, d = x.shape
     if n < 2:
         raise ValueError("Spearman's rho requires n >= 2")
+    if n * (n * n - 1) > 12 * 2**51:
+        raise GuardExceededError("n=%d exceeds the exact Spearman bound 300079" % n)
     _, ranks = _strict_orders_and_ranks(x)
     centered = (ranks + 1) - (n + 1) / 2.0
     gram = centered.T @ centered

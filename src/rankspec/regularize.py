@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymMatrix, eig_sym, projection_distance, sparse_spectral_norm
+from .linalg import SymMatrix, _projection_distance, eig_sym, sparse_spectral_norm
 
 __all__ = [
     "TaperSpec",
     "SparsePCAResult",
     "taper_weights",
     "taper_estimate",
-    "taper_bias_constant",
     "optimal_bandwidth",
     "sparse_pca",
     "pca_projections_compare",
@@ -65,18 +64,6 @@ def taper_estimate(sigma_hat, spec):
     """
     weights = taper_weights(spec, sigma_hat.dim)
     return SymMatrix(weights.entries * sigma_hat.entries)
-
-
-def taper_bias_constant(model):
-    """Constant B such that ||(1 - w) o Sigma||_S <= B k^(-alpha).
-
-    Tapering keeps everything inside |i-j| <= k/2 untouched, so the bias is
-    at most the bandable tail sum beyond k/2, which the family controls by
-    (2c/alpha) (k/2)^(-alpha) = 2^alpha (2c/alpha) k^(-alpha).
-    """
-    if getattr(model, "family", None) != "bandable":
-        raise ValueError("taper bias constant is defined for the bandable family")
-    return 2.0**model.alpha * 2.0 * model.c / model.alpha
 
 
 def optimal_bandwidth(n, d, alpha):
@@ -154,12 +141,12 @@ def sparse_pca(sigma_hat, s, reverse_enumeration=False):
 
 
 def pca_projections_compare(sigma_true, sigma_hat, k):
-    """Spectral distance between the rank-k eigenprojections of two matrices."""
-    decomp = eig_sym(sigma_true)
-    d = decomp.values.size
-    if not 1 <= k < d:
-        raise ValueError("k must satisfy 1 <= k < d")
-    gap = float(decomp.values[k - 1] - decomp.values[k])
-    if gap <= 1e-8:
-        raise ValueError("eigengap %g after position %d is too small" % (gap, k))
-    return projection_distance(sigma_true, sigma_hat, k)
+    """Spectral distance between the rank-k eigenprojections of two matrices.
+
+    As projection_distance, except that the eigengap of sigma_true must
+    exceed 1e-8.
+    """
+    return _projection_distance(
+        sigma_true, sigma_hat, k, 1e-8,
+        lambda gap: "eigengap %g after position %d is too small" % (gap, k),
+    )

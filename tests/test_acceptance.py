@@ -236,6 +236,15 @@ def test_taper_rate_and_bandwidth_tradeoff(thm3_run):
     assert elapsed < 900.0
 
 
+def test_eigenprojection_rate():
+    # the thm4 preset at its shipped size: the n slope of the top-2
+    # eigenprojection distance on one AR(1) model lands in its window
+    result, metrics, failures, elapsed = timed_run("thm4")
+    assert not result.failures
+    assert not failures, (failures, metrics)
+    assert elapsed < 120.0
+
+
 def test_sparse_leading_direction_recovery(thm5_run):
     result, metrics, failures, _ = thm5_run
     assert not result.failures

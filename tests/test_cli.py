@@ -102,6 +102,11 @@ class TestEstimate:
         assert main(["estimate", "--input", str(words), "--method", "tau",
                      "--output", out]) == 2
         assert "line 3" in capsys.readouterr().err
+        numeric_header = tmp_path / "numeric_header.csv"
+        numeric_header.write_text("1,beta\n2,3\n4,5\n")
+        assert main(["estimate", "--input", str(numeric_header), "--method", "tau",
+                     "--output", out]) == 2
+        assert "line 1" in capsys.readouterr().err
         single = tmp_path / "single.csv"
         single.write_text("1,2\n")
         assert main(["estimate", "--input", str(single), "--method", "tau",
@@ -148,6 +153,14 @@ class TestEstimate:
                      "--method", "tau", "--output", str(tmp_path / "o.csv"),
                      "--sparse-pca-s", "12"])
         assert code == 3
+
+    def test_dimension_guard_exit(self, tmp_path, capsys):
+        write_sample(tmp_path / "wide.csv", np.arange(3 * 1025.0).reshape(3, 1025).tolist())
+        code = main(["estimate", "--input", str(tmp_path / "wide.csv"),
+                     "--method", "tau", "--output", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "dimension guard" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -219,6 +232,23 @@ class TestStudies:
         err = capsys.readouterr().err
         assert ("assert failed: 1 replicate failures; first: "
                 "functional proj_dist_k2: injected") in err
+
+    def test_all_replicates_failed(self, tmp_path, capsys, monkeypatch):
+        # bound ratios of an empty functional are nan, study.csv is still
+        # written, and --assert fails naming the first reason
+        def broken(*args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(harness, "_evaluate", broken)
+        for preset, ratio in (("thm1", "ratio_thm1_tau"), ("thm2", "ratio_thm2_q95")):
+            out = tmp_path / preset
+            argv = ["simulate", "--preset", preset, "--seed", "7", "--reps", "2",
+                    "--n-grid", "100,200", "--out-dir", str(out), "--assert"]
+            assert main(argv) == 1
+            assert math.isnan(read_study(out / "study.csv")[ratio])
+            err = capsys.readouterr().err
+            assert "replicate failures; first: functional" in err
+            assert "injected" in err
 
     def test_thm2_ratio_metric(self, tmp_path):
         out = tmp_path / "s2"

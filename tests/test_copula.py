@@ -8,10 +8,8 @@ from rankspec.copula import (
     SigmaModel,
     TransformSet,
     apply_transforms,
-    bandable_class_constants,
     realize_sigma,
     sample_latent,
-    spiked_eigengap,
 )
 from rankspec.errors import TieError
 from rankspec.linalg import CorrMatrix, eig_sym, spectral_norm
@@ -77,8 +75,7 @@ class TestRealizeSigma:
             for k in range(4):
                 expect = 1.0 if j == k else 0.3 * abs(j - k) ** -2.0
                 assert sigma.entries[j, k] == pytest.approx(expect, rel=1e-15)
-        m0, _ = bandable_class_constants(model)
-        assert m0 == pytest.approx(0.6)
+        m0 = 2.0 * model.c / model.alpha  # integral tail bound
         for k in range(1, 4):
             worst = max(
                 sum(abs(sigma.entries[i, j]) for i in range(4) if abs(i - j) > k)
@@ -91,7 +88,9 @@ class TestRealizeSigma:
             c = 0.45 / float(zeta(alpha + 1.0))
             model = SigmaModel.bandable(alpha, c, 30)
             sigma = realize_sigma(model)
-            m0, m1 = bandable_class_constants(model)
+            # integral tail bound and Gershgorin bound of the bandable class
+            m0 = 2.0 * c / alpha
+            m1 = 1.0 + 2.0 * c * float(zeta(alpha + 1.0))
             a = np.abs(sigma.entries)
             for k in range(1, 30):
                 gap = np.abs(np.subtract.outer(np.arange(30), np.arange(30)))
@@ -109,17 +108,11 @@ class TestRealizeSigma:
         assert sigma.entries[3, 4] == 0.0
         dec = eig_sym(sigma.base)
         gap = float(dec.values[0] - dec.values[1])
-        assert gap == pytest.approx(spiked_eigengap(model), rel=1e-12)
+        # lam (1 - 1/s) / (1 + lam/s) with lam=2, s=3
+        assert gap == pytest.approx(0.8, rel=1e-12)
         theta = np.zeros(5)
         theta[:3] = 1.0 / np.sqrt(3.0)
         assert abs(abs(float(dec.vectors[:, 0] @ theta)) - 1.0) < 1e-12
-
-    def test_spiked_eigengap_guards(self):
-        with pytest.raises(ValueError):
-            spiked_eigengap(SigmaModel.ar1(0.5, 3))
-        with pytest.raises(ValueError):
-            spiked_eigengap(SigmaModel.spiked(2.0, 5, 5))
-        assert spiked_eigengap(SigmaModel.spiked(2.0, 1, 4)) == 0.0
 
     def test_all_families_pass_population_invariants(self):
         models = [

@@ -16,7 +16,6 @@ from rankspec.harness import (
     rate_fit,
     replicate_seed,
     run_experiment,
-    subset,
     trend_inversions,
     write_records_csv,
     write_summary_csv,
@@ -39,6 +38,16 @@ def ar1_cfg(**kwargs):
     return ExperimentConfig(**base)
 
 
+def where(result, **fields):
+    """Records of result whose attributes equal fields, without a config."""
+    return ExperimentResult(
+        records=tuple(
+            r for r in result.records
+            if all(getattr(r, key) == value for key, value in fields.items())
+        )
+    )
+
+
 def synthetic(values_by_cell, estimator="tau", functional="spec_err"):
     records = []
     for (n, d), values in values_by_cell.items():
@@ -58,7 +67,6 @@ class TestFunctional:
         assert Functional.proj_dist(2).label == "proj_dist_k2"
         assert Functional.support_recovery(3).label == "support_recovery_s3"
         assert Functional.hoeffding_report().label == "hoeffding_report"
-        assert Functional.delta0_spec().label == "delta0_spec"
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown functional"):
@@ -159,7 +167,7 @@ class TestExperimentConfig:
                 functionals=(Functional.hoeffding_report(),),
             )
         with pytest.raises(ValueError, match="estimators="):
-            ar1_cfg(estimators=("rho",), functionals=(Functional.delta0_spec(),))
+            ar1_cfg(estimators=("rho",), functionals=(Functional.hoeffding_report(),))
 
     def test_model_must_realize_at_every_dimension(self):
         with pytest.raises(ValueError, match="s <= dim"):
@@ -399,10 +407,10 @@ class TestRunExperiment:
         )
         res = run_experiment(cfg)
         for d in cfg.d_grid:
-            sliced = subset(res, d=d)
+            sliced = where(res, d=d)
             assert trend_inversions(sliced, "spec_err", vary="n") <= 1
         for n in cfg.n_grid:
-            sliced = subset(res, n=n)
+            sliced = where(res, n=n)
             assert trend_inversions(sliced, "spec_err", vary="d", decreasing=False) <= 1
 
 
@@ -444,22 +452,6 @@ class TestResultContainers:
         )
         res = ExperimentResult(records=records)
         assert [row.n for row in res.summary] == [200, 100]
-
-    def test_subset_filters_and_drops_config(self):
-        cfg = ar1_cfg(
-            estimators=("tau", "rho"),
-            n_grid=(50, 100),
-            functionals=(Functional.spec_err(), Functional.max_err()),
-            reps=2,
-        )
-        res = run_experiment(cfg)
-        sliced = subset(res, n=100, estimator="rho", functional="max_err")
-        assert sliced.config is None
-        assert len(sliced.records) == 2
-        assert all(
-            (r.n, r.estimator, r.functional) == (100, "rho", "max_err")
-            for r in sliced.records
-        )
 
 
 class TestRateFit:
@@ -568,7 +560,7 @@ class TestBoundRatio:
         res = synthetic({(100, 5): [0.10], (400, 5): [0.10]})
         model = SigmaModel.ar1(0.5, 5)
         per_cell = [
-            bound_ratio(subset(res, n=n), "spec_err", "thm1", model=model)
+            bound_ratio(where(res, n=n), "spec_err", "thm1", model=model)
             for n in (100, 400)
         ]
         assert bound_ratio(res, "spec_err", "thm1", model=model) == max(per_cell)
@@ -612,23 +604,6 @@ class TestBoundRatio:
             res, "sparse_spec_err_s3", "thm2", model=model, t=t
         ) == pytest.approx(expected, rel=1e-13)
 
-    def test_lm4_quantile_against_explicit_bound(self):
-        values = list(np.linspace(0.01, 0.2, 20))
-        res = synthetic({(150, 4): values}, functional="delta0_spec")
-        model = SigmaModel.ar1(0.5, 4)
-        signorm = spectral_norm(realize_sigma(model).base)
-        t = math.sqrt(math.log(40.0))
-        rhs = 5.0 * signorm * (
-            math.sqrt((4 + t * t / math.pi) / (3.0 * 150))
-            + (4 + (t * t + 1.0) / math.pi) / 150
-        )
-        expected = np.quantile(values, 0.95) / rhs
-        assert bound_ratio(res, "delta0_spec", "lm4", model=model) == pytest.approx(
-            expected, rel=1e-13
-        )
-        with pytest.raises(ValueError, match="raise t"):
-            bound_ratio(res, "delta0_spec", "lm4", model=model, t=0.5)
-
     def test_compatibility_validation(self):
         res = synthetic({(100, 5): [0.1]}, functional="max_err")
         model = SigmaModel.ar1(0.5, 5)
@@ -636,9 +611,7 @@ class TestBoundRatio:
             bound_ratio(res, "max_err", "thm1", model=model)
         with pytest.raises(ValueError, match="sparse_spec_err"):
             bound_ratio(res, "max_err", "thm2", model=model)
-        with pytest.raises(ValueError, match="delta0_spec"):
-            bound_ratio(res, "max_err", "lm4", model=model)
-        with pytest.raises(ValueError, match="thm1, thm2, lm4"):
+        with pytest.raises(ValueError, match="thm1, thm2"):
             bound_ratio(res, "max_err", "thm3", model=model)
 
     def test_needs_a_model_without_config(self):
@@ -677,6 +650,14 @@ class TestCsvRoundTrip:
         res = load_records(path)
         assert [r.n for r in res.records] == [100, 200]
         assert res.records[0].value == 0.25
+
+    def test_blank_rows_skipped_before_header(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(
+            "\n  \nn,d,estimator,functional,replicate,value\n"
+            "100,5,tau,spec_err,0,0.25\n\n200,5,tau,spec_err,0,0.125\n"
+        )
+        assert [r.n for r in load_records(path).records] == [100, 200]
 
     def test_malformed_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

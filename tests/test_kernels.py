@@ -12,7 +12,6 @@ from rankspec.kernels import (
     GBAR_SLOPE,
     TAU_KERNEL_SLOPE,
     HoeffdingReport,
-    KernelEval,
     binorm_cdf,
     delta0_matrix,
     delta1_matrix,
@@ -22,7 +21,6 @@ from rankspec.kernels import (
     hbar0,
     hoeffding_report,
     inequality_sweep,
-    kernel_eval,
     std_normal_cdf,
 )
 from rankspec.linalg import norm_max
@@ -218,26 +216,6 @@ class TestGFunctions:
         monkeypatch.setattr(kernels_mod, "_gbar_panels", drifting)
         with pytest.raises(ConvergenceError):
             gbar(0.0, 0.5)
-
-
-class TestKernelEval:
-    def test_values_complete_and_consistent(self):
-        ke = kernel_eval(0.7, -0.3, 0.6)
-        assert set(ke.values) == {"phi2", "hbar", "hbar0_x", "hbar0_y", "g", "gbar_x"}
-        assert ke.values["phi2"] == binorm_cdf(0.7, -0.3, 0.6)
-        assert ke.values["g"] == g_fn(0.7, -0.3, 0.6)
-        assert ke.values["hbar0_x"] == hbar0(0.7)
-
-    def test_invariants_enforced(self):
-        good = kernel_eval(0.0, 0.0, 0.2).values
-        with pytest.raises(ValueError, match="rho"):
-            KernelEval(x=0.0, y=0.0, rho=1.0, values=dict(good))
-        bad = dict(good)
-        bad["hbar"] = 1.5
-        with pytest.raises(ValueError, match="hbar"):
-            KernelEval(x=0.0, y=0.0, rho=0.2, values=bad)
-        with pytest.raises(ValueError, match="missing"):
-            KernelEval(x=0.0, y=0.0, rho=0.2, values={"phi2": 0.25})
 
 
 class TestProjectionMatrices:

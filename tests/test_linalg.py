@@ -9,7 +9,6 @@ from rankspec.linalg import (
     CorrMatrix,
     SymMatrix,
     eig_sym,
-    norm_2_inf,
     norm_frobenius,
     norm_max,
     projection_distance,
@@ -121,11 +120,6 @@ class TestNorms:
 
         monkeypatch.setattr(np.linalg, "eigh", boom)
         assert spectral_norm(SymMatrix(np.zeros((4, 4)))) == 0.0
-
-    def test_2_inf_examples(self):
-        assert norm_2_inf(SymMatrix(np.eye(5))) == 1.0
-        assert norm_2_inf(SymMatrix([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(math.sqrt(2.0))
-        assert norm_2_inf(SymMatrix(np.diag([2.0, 3.0]))) == 3.0
 
     def test_frobenius_and_max_examples(self):
         eye2 = SymMatrix(np.eye(2))

@@ -6,7 +6,7 @@ import scipy.stats
 
 import oracles
 from rankspec.copula import DataMatrix, TransformSet, apply_transforms
-from rankspec.errors import TieError
+from rankspec.errors import GuardExceededError, TieError
 from rankspec.linalg import SymMatrix, eig_sym, spectral_norm
 from rankspec.rankest import (
     RankStatMatrix,
@@ -115,6 +115,15 @@ class TestSpearman:
             x = rng.normal(size=(n, 5))
             values = spearman_rho_matrix(DataMatrix(x)).values.entries
             assert np.abs(values).max() <= 1.0
+
+    def test_size_guard_at_exactness_bound(self):
+        # n(n^2-1)/12 <= 2^51 holds up to n = 300079, where every partial
+        # sum of the centered-rank Gram product is still exact
+        x = np.arange(2 * 300080, dtype=float).reshape(-1, 2)
+        with pytest.raises(GuardExceededError, match="n=300080"):
+            spearman_rho_matrix(DataMatrix(x))
+        rho = spearman_rho_matrix(DataMatrix(x[:300079])).values.entries
+        assert np.array_equal(rho, np.ones((2, 2)))
 
     def test_order3_representation(self):
         # rho equals the weighted mix of an order-3 sign statistic and tau

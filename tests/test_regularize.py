@@ -10,7 +10,6 @@ from rankspec.regularize import (
     optimal_bandwidth,
     pca_projections_compare,
     sparse_pca,
-    taper_bias_constant,
     taper_estimate,
     taper_weights,
 )
@@ -99,15 +98,12 @@ class TestTaperEstimate:
     def test_bias_bound_on_bandable_family(self):
         model = SigmaModel.bandable(1.0, 0.3, 64)
         sigma = realize_sigma(model)
-        bias_const = taper_bias_constant(model)
+        # the bandable tail beyond k/2: 2^alpha (2c/alpha) k^(-alpha)
+        bias_const = 2.0**model.alpha * 2.0 * model.c / model.alpha
         for k in (2, 4, 8, 16):
             weights = taper_weights(TaperSpec(k=k), 64).entries
             bias = spectral_norm(SymMatrix((1.0 - weights) * sigma.entries))
             assert bias <= bias_const * k**-model.alpha + 1e-12
-
-    def test_bias_constant_requires_bandable(self):
-        with pytest.raises(ValueError, match="bandable"):
-            taper_bias_constant(SigmaModel.ar1(dim=4, r=0.5))
 
 
 class TestOptimalBandwidth:
