@@ -8,6 +8,7 @@ the offending column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,60 +56,62 @@ def _strict_orders_and_ranks(x):
     tied = _tied_columns(np.take_along_axis(x, order, axis=0))
     if tied:
         raise TieError(tied[0])
-    # int32 ranks halve memory traffic; offsets of (n+1)*d must stay in range
-    dtype = np.int32 if (n + 1) * d < 2**31 else np.int64
+    # int32 ranks halve memory traffic
+    dtype = np.int32 if n < 2**31 else np.int64
     ranks = np.empty((n, d), dtype=dtype)
     np.put_along_axis(ranks, order, np.arange(n, dtype=dtype)[:, None], axis=0)
     return order, ranks
 
 
-def _merge_count(left, right, span):
-    """Cross inversions and per-row sorted merge of two row-sorted blocks.
+def _block_inversions(b):
+    """Inversion count inside each length-m block b[r, i, :], summed per row r."""
+    dd, k, m = b.shape
+    # blocks as columns: each comparison below runs over one contiguous slab
+    cols = np.ascontiguousarray(b.transpose(2, 0, 1))
+    acc = np.zeros((m - 1, dd, k), dtype=np.min_scalar_type(m))
+    for shift in range(1, m):
+        acc[: m - shift] += cols[: m - shift] > cols[shift:]
+    return acc.sum(axis=(0, 2), dtype=np.int64)
 
-    Rows are flattened into disjoint integer ranges (all values are ranks
-    below span) so one searchsorted call serves every row at once.
+
+def _row_inversions(a):
+    """Inversion count of each row of a, whose rows are permutations of 0..n-1.
+
+    Positions and values are cut into blocks of m ~ sqrt(n).  A pair inside
+    one position block is compared directly.  A pair in two position blocks
+    but one value block is compared by position block along the value order.
+    Any other pair is decided by its (position block, value block) cells,
+    counted with prefix sums over the k x k grid of cells.  Rows are padded
+    to k*m with ascending values above every entry, which add no inversion.
     """
-    dd, nl = left.shape
-    nr = right.shape[1]
-    offsets = span * np.arange(dd, dtype=left.dtype)[:, None]
-    lflat = (left + offsets).ravel()
-    rflat = (right + offsets).ravel()
-    below = np.searchsorted(rflat, lflat, side="left").reshape(dd, nl)
-    below -= nr * np.arange(dd, dtype=np.int64)[:, None]
-    upto = np.searchsorted(lflat, rflat, side="right").reshape(dd, nr)
-    upto -= nl * np.arange(dd, dtype=np.int64)[:, None]
-
-    merged = np.empty((dd, nl + nr), dtype=left.dtype)
-    stride = (nl + nr) * np.arange(dd, dtype=np.int64)[:, None]
-    flat = merged.ravel()
-    flat[(np.arange(nl)[None, :] + below + stride).ravel()] = left.ravel()
-    flat[(np.arange(nr)[None, :] + upto + stride).ravel()] = right.ravel()
-    return below.sum(axis=1), merged
-
-
-_BASE_COLS = 64
-
-
-def _row_inversions(a, span):
-    """Inversion count of each row of a, by divide and conquer on columns."""
     dd, n = a.shape
-    if n <= _BASE_COLS:
-        above = a[:, :, None] > a[:, None, :]
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)[None, :, :]
-        counts = (above & upper).sum(axis=(1, 2), dtype=np.int64)
-        return counts, np.sort(a, axis=1)
-    mid = n // 2
-    count_low, left = _row_inversions(a[:, :mid], span)
-    count_high, right = _row_inversions(a[:, mid:], span)
-    cross, merged = _merge_count(left, right, span)
-    return count_low + count_high + cross, merged
+    m = max(2, math.isqrt(n))
+    k = -(-n // m)
+    pos_block = np.arange(n) // m
+    inverse = np.empty_like(a)
+    np.put_along_axis(inverse, a, np.arange(n, dtype=a.dtype)[None, :], axis=1)
+    # the narrowest dtype that holds the values halves or quarters the
+    # memory traffic of the block comparisons
+    padded = np.empty((dd, k * m), dtype=np.min_scalar_type(k * m))
+    padded[:, :n] = a
+    padded[:, n:] = np.arange(n, k * m)
+    same_pos = _block_inversions(padded.reshape(dd, k, m))
+    padded = np.empty((dd, k * m), dtype=np.min_scalar_type(k))
+    padded[:, :n] = inverse // m
+    padded[:, n:] = k
+    same_value = _block_inversions(padded.reshape(dd, k, m))
+    cell = (np.arange(dd)[:, None] * k + pos_block) * k + a // m
+    grid = np.bincount(cell.ravel(), minlength=dd * k * k).reshape(dd, k, k)
+    before = np.cumsum(grid, axis=1) - grid
+    before_above = np.cumsum(before[:, :, ::-1], axis=2)[:, :, ::-1] - before
+    return same_pos + same_value + np.einsum("rpq,rpq->r", grid, before_above)
 
 
 def kendall_tau_matrix(y):
     """All pairwise Kendall tau statistics of a tie-free sample.
 
-    Each pair costs O(n log n): sort by one column, then discordant pairs are
-    exactly the inversions of the other column's rank sequence, and
+    Sort by one column: discordant pairs are then exactly the inversions of
+    the other column's rank sequence, counted in O(n sqrt n) per pair, and
     tau = (n(n-1) - 4 inv) / (n(n-1)).  With tie-free input that rational
     equals the definitional sign-product average, including bitwise in
     floating point, because both divide the same integer by n(n-1).
@@ -118,12 +121,9 @@ def kendall_tau_matrix(y):
     if n < 2:
         raise ValueError("Kendall's tau requires n >= 2")
     order, ranks = _strict_orders_and_ranks(x)
-    span = ranks.dtype.type(n + 1)
     discordant = np.zeros((d, d), dtype=np.int64)
     for j in range(d - 1):
-        induced = np.ascontiguousarray(ranks[order[:, j], j + 1 :].T)
-        counts, _ = _row_inversions(induced, span)
-        discordant[j, j + 1 :] = counts
+        discordant[j, j + 1 :] = _row_inversions(ranks[order[:, j], j + 1 :].T)
     pairs = n * (n - 1)
     values = (pairs - 4 * (discordant + discordant.T)) / float(pairs)
     np.fill_diagonal(values, 1.0)
