@@ -22,6 +22,7 @@ from .copula import SigmaModel, TransformSet, apply_transforms, realize_sigma, s
 from .errors import GuardExceededError, InputError, RankspecError
 from .kernels import hoeffding_report
 from .linalg import (
+    _ENUMERATION_GUARD,
     SymMatrix,
     _top_eigenvectors,
     norm_max,
@@ -77,7 +78,6 @@ _FUNCTIONAL_PARAMS = {
     "hoeffding_report": (),
 }
 
-_ENUMERATION_GUARD = 10**7
 _DIM_GUARD = 1024
 
 
@@ -582,9 +582,7 @@ def _series(recs, vary, power, stat):
     return np.array(keys, dtype=float), ys
 
 
-def _check_series_args(vary, stat, power, transform=None):
-    if transform is not None and transform != "log-log":
-        raise ValueError("only the log-log transform is supported")
+def _check_series_args(vary, stat, power):
     if vary not in ("n", "d"):
         raise ValueError("vary must be 'n' or 'd'")
     if stat not in ("mean", "median"):
@@ -593,8 +591,7 @@ def _check_series_args(vary, stat, power, transform=None):
         raise ValueError("power must be positive")
 
 
-def rate_fit(result, functional, vary="n", estimator=None, power=1.0, stat="mean",
-             transform="log-log"):
+def rate_fit(result, functional, vary="n", estimator=None, power=1.0, stat="mean"):
     """Least-squares slope of log(aggregated functional) vs log(n or d).
 
     Aggregation is the mean (or median) of value**power per grid point, so
@@ -603,7 +600,7 @@ def rate_fit(result, functional, vary="n", estimator=None, power=1.0, stat="mean
     axis and strictly positive aggregates.  When the result holds several
     estimators for the functional, estimator= must disambiguate.
     """
-    _check_series_args(vary, stat, power, transform)
+    _check_series_args(vary, stat, power)
     recs = _select(result, functional, estimator)
     xs, ys = _series(recs, vary, power, stat)
     if xs.size < 3:

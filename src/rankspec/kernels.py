@@ -6,10 +6,10 @@ correlation rho is
     hbar(x, y, rho) = 4 Phi2(x, y; rho) - 2 Phi(x) - 2 Phi(y) + 1,
 
 the expectation of sgn(x - U) sgn(y - V) over a standard bivariate normal
-(U, V).  This module evaluates hbar and its pieces (hbar0, the dependence
-part g, the y-average gbar), builds the first-order projection matrices used
-to decompose the estimation error, and sweeps the inequalities those pieces
-must satisfy.
+(U, V).  This module evaluates hbar and its pieces (hbar0 and the y-average
+gbar), builds the first-order projection matrices used to decompose the
+estimation error, and sweeps the inequalities those pieces and the
+dependence part g = hbar(x, y, rho) - hbar(x, y, 0) must satisfy.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ __all__ = [
     "HoeffdingReport",
     "SweepRow",
     "SweepReport",
-    "std_normal_cdf",
-    "binorm_cdf",
     "hbar",
     "hbar0",
-    "g_fn",
     "gbar",
     "delta0_matrix",
     "delta1_matrix",
@@ -47,17 +44,6 @@ __all__ = [
 # |gbar| <= GBAR_SLOPE |rho|
 TAU_KERNEL_SLOPE = 2.0 / math.pi + 1.0
 GBAR_SLOPE = math.sqrt(2.0) / math.pi + 0.5
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF via the complementary error function.
-
-    Backed by scipy's Cephes ndtr (erfc-based rational approximation);
-    absolute error is below 1e-15 over the real line.  Accepts scalars or
-    arrays.
-    """
-    out = ndtr(x)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 _GL_CACHE = {}
@@ -162,20 +148,6 @@ def _check_rho(rho):
         )
 
 
-def binorm_cdf(x, y, rho):
-    """P(Z1 <= x, Z2 <= y) for standard bivariate normal with correlation rho.
-
-    Gauss-Legendre quadrature of the single-integral reduction of the
-    bivariate density, with 6/12/20 nodes for |rho| < 0.3 / < 0.75 / <= 0.925
-    and a singularity-adapted 20-node form above 0.925.  Absolute error is
-    below 1e-10 (in practice near 1e-15).  Broadcasts over array inputs.
-    """
-    (xb, yb, rb), scalar = _broadcast(x, y, rho)
-    _check_rho(rb)
-    out = np.clip(_bvnu(-xb, -yb, rb), 0.0, 1.0)
-    return float(out[0]) if scalar else out.reshape(np.broadcast(x, y, rho).shape)
-
-
 def hbar0(x):
     """Centering kernel 2 Phi(x) - 1, uniform on [-1, 1] under X ~ N(0,1)."""
     out = 2.0 * ndtr(x) - 1.0
@@ -189,11 +161,6 @@ def hbar(x, y, rho):
     values = 4.0 * _bvnu(-xb, -yb, rb) - 2.0 * ndtr(xb) - 2.0 * ndtr(yb) + 1.0
     out = np.clip(values, -1.0, 1.0)
     return float(out[0]) if scalar else out.reshape(np.broadcast(x, y, rho).shape)
-
-
-def g_fn(x, y, rho):
-    """Dependence part g = hbar(x, y, rho) - hbar(x, y, 0)."""
-    return hbar(x, y, rho) - hbar(x, y, np.zeros_like(np.asarray(rho, dtype=float)))
 
 
 def _gbar_panels(x, rho, panels, order=16):
@@ -241,20 +208,18 @@ def delta0_matrix(x, sigma):
     x must hold latent Gaussian rows (the projection is a population-side
     object, so it is only available in simulation).
     """
-    u = 2.0 * ndtr(x.entries) - 1.0
+    u = hbar0(x.entries)
     r = rho_pop(sigma).entries
     return SymMatrix(u.T @ u / float(x.n) - r / 3.0)
 
 
-def delta1_matrix(x, sigma, kind="tau"):
+def delta1_matrix(x, sigma):
     """First-order projection of the tau U-statistic around its mean.
 
     Entry (j, k) is the sample average of hbar(X_ij, X_ik, Sigma_jk) minus
     the population tau; the diagonal is zero.  Only the tau kernel is
     supported (the order-3 Spearman analogue is intentionally not built).
     """
-    if kind != "tau":
-        raise ValueError("only the tau kernel has a first-order matrix here")
     a = x.entries
     d = x.d
     s = sigma.entries
@@ -333,8 +298,9 @@ class SweepRow:
 class SweepReport:
     rows: tuple
 
-    def all_pass(self, floor=-1e-9):
-        return all(row.min_slack >= floor for row in self.rows)
+    def failing(self):
+        """Rows whose worst slack falls below -1e-9 (or is nan)."""
+        return tuple(row for row in self.rows if not row.min_slack >= -1e-9)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as handle:

@@ -25,18 +25,18 @@ __all__ = [
     "norm_max",
     "sparse_spectral_norm",
     "sin_angle",
-    "projection_distance",
 ]
+
+# C(d, s) above this many supports is refused before any enumeration
+_ENUMERATION_GUARD = 10**7
 
 
 class SymMatrix:
     """Square matrix with exact entrywise symmetry.
 
-    Only the upper triangle is independently settable: the constructor
-    mirrors the upper triangle of its input (the strict lower triangle is
-    ignored) and ``set`` writes an entry together with its mirror.  This
-    makes ``entries[j, k] == entries[k, j]`` hold bitwise, not just up to
-    rounding.
+    The constructor mirrors the upper triangle of its input (the strict
+    lower triangle is ignored).  This makes ``entries[j, k] == entries[k, j]``
+    hold bitwise, not just up to rounding.
     """
 
     __slots__ = ("entries",)
@@ -53,14 +53,6 @@ class SymMatrix:
     @property
     def dim(self):
         return self.entries.shape[0]
-
-    def set(self, j, k, value):
-        """Set entry (j, k) and its mirror (k, j) to the same float."""
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError("matrix entries must all be finite")
-        self.entries[j, k] = value
-        self.entries[k, j] = value
 
     def __repr__(self):
         return "SymMatrix(dim=%d)" % self.dim
@@ -186,7 +178,7 @@ def _subset_blocks(d, s, reverse):
         yield arr
 
 
-def sparse_spectral_norm(a, s, guard=10**7, reverse_enumeration=False):
+def sparse_spectral_norm(a, s, reverse_enumeration=False):
     """Exact maximum of the spectral norm over s x s principal submatrices.
 
     Enumerates index sets of size exactly s.  By Cauchy interlacing both
@@ -200,17 +192,17 @@ def sparse_spectral_norm(a, s, guard=10**7, reverse_enumeration=False):
     ``reverse_enumeration`` flips the enumeration and must not change the
     result; it exists as a determinism self-check.
 
-    Raises GuardExceededError when C(d, s) exceeds ``guard``.
+    Raises GuardExceededError when C(d, s) exceeds 1e7.
     """
     m = _as_sym(a).entries
     d = m.shape[0]
     if not 1 <= s <= d:
         raise ValueError("s must satisfy 1 <= s <= d, got s=%d with d=%d" % (s, d))
     total = math.comb(d, s)
-    if total > guard:
+    if total > _ENUMERATION_GUARD:
         raise GuardExceededError(
             "C(%d, %d) = %d subsets exceeds the enumeration guard %d; "
-            "lower s or d, or raise the guard" % (d, s, total, guard)
+            "lower s or d" % (d, s, total, _ENUMERATION_GUARD)
         )
     if s == d:
         return spectral_norm(a), tuple(range(d))
@@ -261,34 +253,3 @@ def _top_eigenvectors(a, k, floor, message):
     if gap <= floor:
         raise ValueError(message(gap))
     return dec.vectors[:, :k]
-
-
-def _degenerate(name, k):
-    return lambda gap: "degenerate eigengap in %s matrix: lambda_%d - lambda_%d = %.6e" % (
-        name, k, k + 1, gap
-    )
-
-
-def _projection_distance(a, b, k, floor, message):
-    """projection_distance, with the eigengap of a held to floor instead and
-    ValueError(message(gap)) raised when it falls short."""
-    a = _as_sym(a)
-    b = _as_sym(b)
-    d = a.dim
-    if b.dim != d:
-        raise ValueError("matrices must share a common dimension")
-    if not 1 <= k < d:
-        raise ValueError("k must satisfy 1 <= k < d, got k=%d with d=%d" % (k, d))
-    first = _top_eigenvectors(a, k, floor, message)
-    second = _top_eigenvectors(b, k, 1e-10, _degenerate("second", k))
-    return spectral_norm(SymMatrix(first @ first.T - second @ second.T))
-
-
-def projection_distance(a, b, k):
-    """Spectral norm of the difference of top-k eigenprojections of a and b.
-
-    Top-k means the k algebraically largest eigenvalues.  Requires the
-    eigengap lambda_k - lambda_{k+1} of each matrix to exceed 1e-10, since
-    below that the projector is not a stable function of the input.
-    """
-    return _projection_distance(a, b, k, 1e-10, _degenerate("first", k))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymMatrix, _projection_distance, eig_sym, sparse_spectral_norm
+from .linalg import SymMatrix, _top_eigenvectors, eig_sym, sparse_spectral_norm, spectral_norm
 
 __all__ = [
     "TaperSpec",
@@ -141,12 +141,25 @@ def sparse_pca(sigma_hat, s, reverse_enumeration=False):
 
 
 def pca_projections_compare(sigma_true, sigma_hat, k):
-    """Spectral distance between the rank-k eigenprojections of two matrices.
+    """Spectral norm of the difference of the top-k eigenprojections.
 
-    As projection_distance, except that the eigengap of sigma_true must
-    exceed 1e-8.
+    Top-k means the k algebraically largest eigenvalues.  The eigengap
+    lambda_k - lambda_{k+1} must exceed 1e-8 for sigma_true and 1e-10 for
+    sigma_hat, since below that the projector is not a stable function of
+    the matrix.
     """
-    return _projection_distance(
-        sigma_true, sigma_hat, k, 1e-8,
+    d = sigma_true.dim
+    if sigma_hat.dim != d:
+        raise ValueError("matrices must share a common dimension")
+    if not 1 <= k < d:
+        raise ValueError("k must satisfy 1 <= k < d, got k=%d with d=%d" % (k, d))
+    true = _top_eigenvectors(
+        sigma_true, k, 1e-8,
         lambda gap: "eigengap %g after position %d is too small" % (gap, k),
     )
+    hat = _top_eigenvectors(
+        sigma_hat, k, 1e-10,
+        lambda gap: "degenerate eigengap in second matrix: lambda_%d - lambda_%d = %.6e"
+        % (k, k + 1, gap),
+    )
+    return spectral_norm(SymMatrix(true @ true.T - hat @ hat.T))

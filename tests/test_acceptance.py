@@ -173,9 +173,7 @@ def test_kernel_inequality_sweep_passes():
     start = time.monotonic()
     report = inequality_sweep(grid_size=51)
     assert len(report.rows) >= 4
-    assert report.all_pass(floor=-1e-9), [
-        (row.inequality, row.min_slack) for row in report.rows
-    ]
+    assert report.failing() == ()
     assert time.monotonic() - start < 120.0
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -233,22 +234,48 @@ class TestStudies:
         assert ("assert failed: 1 replicate failures; first: "
                 "functional proj_dist_k2: injected") in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_replicates_failed(self, tmp_path, capsys, monkeypatch):
-        # bound ratios of an empty functional are nan, study.csv is still
+        # metrics of an empty functional are nan, study.csv is still
         # written, and --assert fails naming the first reason
         def broken(*args):
             raise ValueError("injected")
 
         monkeypatch.setattr(harness, "_evaluate", broken)
-        for preset, ratio in (("thm1", "ratio_thm1_tau"), ("thm2", "ratio_thm2_q95")):
+        for preset, nan_metrics in (
+            ("thm1", ("ratio_thm1_tau",)),
+            ("thm2", ("ratio_thm2_q95",)),
+            ("thm3", ("slope_sq", "kcurve_mse_k2", "kcurve_mse_k32",
+                      "kcurve_argmin_k", "kcurve_interior")),
+            ("thm5", ("slope_median", "median_inversions", "recovery_at_nmax")),
+        ):
             out = tmp_path / preset
-            argv = ["simulate", "--preset", preset, "--seed", "7", "--reps", "2",
-                    "--n-grid", "100,200", "--out-dir", str(out), "--assert"]
+            argv = [STUDIES[preset].command, "--preset", preset, "--seed", "7",
+                    "--reps", "2", "--n-grid", "100,200", "--out-dir", str(out),
+                    "--assert"]
             assert main(argv) == 1
-            assert math.isnan(read_study(out / "study.csv")[ratio])
+            study = read_study(out / "study.csv")
+            assert [name for name in nan_metrics if not math.isnan(study[name])] == []
             err = capsys.readouterr().err
             assert "replicate failures; first: functional" in err
             assert "injected" in err
+
+    def test_blas_threads_do_not_change_output(self, tmp_path):
+        outputs = []
+        for blas in ("1", "2"):
+            out = tmp_path / ("blas%s" % blas)
+            proc = subprocess.run(
+                [sys.executable, "-m", "rankspec.cli", "simulate", "--preset", "thm1",
+                 "--seed", "7", "--reps", "3", "--out-dir", str(out)],
+                capture_output=True, text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=blas),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(
+                [(out / name).read_bytes()
+                 for name in ("records.csv", "summary.csv", "study.csv")]
+            )
+        assert outputs[0] == outputs[1]
 
     def test_thm2_ratio_metric(self, tmp_path):
         out = tmp_path / "s2"

@@ -512,8 +512,6 @@ class TestRateFit:
 
     def test_argument_validation(self):
         res = synthetic({(n, 5): [0.1] for n in (100, 200, 400)})
-        with pytest.raises(ValueError, match="log-log"):
-            rate_fit(res, "spec_err", vary="n", transform="linear")
         with pytest.raises(ValueError, match="vary"):
             rate_fit(res, "spec_err", vary="s")
         with pytest.raises(ValueError, match="stat"):

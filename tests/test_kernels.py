@@ -12,52 +12,41 @@ from rankspec.kernels import (
     GBAR_SLOPE,
     TAU_KERNEL_SLOPE,
     HoeffdingReport,
-    binorm_cdf,
+    SweepReport,
+    SweepRow,
     delta0_matrix,
     delta1_matrix,
-    g_fn,
     gbar,
     hbar,
     hbar0,
     hoeffding_report,
     inequality_sweep,
-    std_normal_cdf,
 )
 from rankspec.linalg import norm_max
 from rankspec.rankest import rho_pop
 
 
-class TestNormalCdf:
-    def test_reference_value(self):
-        assert std_normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-15)
-
-    def test_zero_is_exact(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_symmetry(self):
-        x = np.linspace(-6.0, 6.0, 101)
-        assert np.abs(std_normal_cdf(-x) - (1.0 - std_normal_cdf(x))).max() <= 1e-15
-
-    def test_scalar_and_array_forms(self):
-        assert isinstance(std_normal_cdf(0.3), float)
-        out = std_normal_cdf(np.zeros((2, 3)))
-        assert out.shape == (2, 3)
+def g(x, y, rho):
+    """Dependence part of the tau kernel, hbar(x, y, rho) - hbar(x, y, 0)."""
+    return hbar(x, y, rho) - hbar(x, y, 0.0)
 
 
 class TestBinormCdf:
-    def test_independent_center(self):
-        assert binorm_cdf(0.0, 0.0, 0.0) == 0.25
+    """The bivariate normal CDF Phi2 behind hbar, checked through
+    hbar = 4 Phi2 - hbar0(x) - hbar0(y) - 1 (so CDF tolerances scale by 4)."""
 
     def test_center_closed_form(self):
+        # hbar(0, 0, rho) = 4 Phi2(0, 0; rho) - 1 = (2 / pi) asin(rho)
         for rho in (-0.999999, -0.95, -0.6, -0.2, 0.2, 0.5, 0.75, 0.925, 0.99, 0.999999):
-            want = 0.25 + math.asin(rho) / (2.0 * math.pi)
-            assert binorm_cdf(0.0, 0.0, rho) == pytest.approx(want, abs=1e-12)
+            want = 2.0 * math.asin(rho) / math.pi
+            assert hbar(0.0, 0.0, rho) == pytest.approx(want, abs=4e-12)
 
     def test_large_argument_marginalizes(self):
+        # Phi2(x, 8.5; rho) = Phi(x), so hbar(x, 8.5, rho) = 2 Phi(x) - 1
         x = np.linspace(-3.0, 3.0, 13)
         for rho in (-0.8, 0.0, 0.8):
-            got = binorm_cdf(x, 8.5, rho)
-            assert np.abs(got - std_normal_cdf(x)).max() <= 1e-10
+            got = hbar(x, 8.5, rho)
+            assert np.abs(got - hbar0(x)).max() <= 4e-10
 
     def test_owens_identity_agreement(self):
         rng = np.random.default_rng(20260814)
@@ -66,42 +55,42 @@ class TestBinormCdf:
         rho = rng.uniform(-0.999999, 0.999999, size=2000)
         # make sure every quadrature band is exercised
         rho[:4] = (0.1, 0.5, 0.9, 0.99)
-        got = binorm_cdf(x, y, rho)
-        want = np.array([oracles.phi2_owens(a, b, r) for a, b, r in zip(x, y, rho)])
-        assert np.abs(got - want).max() <= 1e-10
+        got = hbar(x, y, rho)
+        want = np.array([oracles.hbar_owens(a, b, r) for a, b, r in zip(x, y, rho)])
+        assert np.abs(got - want).max() <= 4e-10
 
     def test_argument_symmetry(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-4.0, 4.0, size=200)
         y = rng.uniform(-4.0, 4.0, size=200)
         rho = rng.uniform(-0.999, 0.999, size=200)
-        assert np.abs(binorm_cdf(x, y, rho) - binorm_cdf(y, x, rho)).max() <= 1e-15
+        assert np.abs(hbar(x, y, rho) - hbar(y, x, rho)).max() <= 4e-15
 
     def test_range_and_extremes(self):
-        pts = [(-12.0, -12.0), (-12.0, 12.0), (12.0, -12.0), (12.0, 12.0)]
+        # far in the tails sgn(x - U) sgn(y - V) is almost surely sgn(x) sgn(y)
         for rho in (-0.999999, -0.5, 0.0, 0.5, 0.999999):
-            for x, y in pts:
-                value = binorm_cdf(x, y, rho)
-                assert 0.0 <= value <= 1.0
+            for x, y in ((-12.0, -12.0), (-12.0, 12.0), (12.0, -12.0), (12.0, 12.0)):
+                want = math.copysign(1.0, x) * math.copysign(1.0, y)
+                assert hbar(x, y, rho) == pytest.approx(want, abs=1e-12)
 
     def test_monotone_in_rho(self):
         rho = np.linspace(-0.999, 0.999, 81)
-        values = binorm_cdf(0.3, -0.2, rho)
-        assert (np.diff(values) >= -1e-12).all()
+        values = hbar(0.3, -0.2, rho)
+        assert (np.diff(values) >= -4e-12).all()
 
     def test_degenerate_rho_rejected(self):
         with pytest.raises(ValueError, match=r"min\(Phi\(x\), Phi\(y\)\)"):
-            binorm_cdf(0.0, 0.0, 1.0)
+            hbar(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            binorm_cdf(0.5, 0.5, -(1.0 - 1e-14))
+            hbar(0.5, 0.5, -(1.0 - 1e-14))
 
     def test_matches_scalar_calls_bitwise(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-3.0, 3.0, size=50)
         y = rng.uniform(-3.0, 3.0, size=50)
         rho = rng.uniform(-0.99, 0.99, size=50)
-        vec = binorm_cdf(x, y, rho)
-        sca = np.array([binorm_cdf(a, b, r) for a, b, r in zip(x, y, rho)])
+        vec = hbar(x, y, rho)
+        sca = np.array([hbar(a, b, r) for a, b, r in zip(x, y, rho)])
         assert np.array_equal(vec, sca)
 
 
@@ -165,17 +154,17 @@ class TestGFunctions:
     def test_g_zero_rho_is_exact(self):
         x = np.linspace(-4.0, 4.0, 9)
         xx, yy = np.meshgrid(x, x, indexing="ij")
-        assert np.array_equal(g_fn(xx, yy, 0.0), np.zeros_like(xx))
+        assert np.array_equal(g(xx, yy, np.zeros_like(xx)), np.zeros_like(xx))
 
     def test_g_center_value(self):
-        assert g_fn(0.0, 0.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert g(0.0, 0.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_g_slope_bound_random(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-4.0, 4.0, size=500)
         y = rng.uniform(-4.0, 4.0, size=500)
         rho = rng.uniform(-0.99, 0.99, size=500)
-        assert (np.abs(g_fn(x, y, rho)) <= TAU_KERNEL_SLOPE * np.abs(rho) + 1e-12).all()
+        assert (np.abs(g(x, y, rho)) <= TAU_KERNEL_SLOPE * np.abs(rho) + 1e-12).all()
 
     def test_gbar_zero_rho(self):
         x = np.linspace(-4.0, 4.0, 9)
@@ -220,10 +209,10 @@ class TestGFunctions:
 
 class TestProjectionMatrices:
     def test_delta0_single_row_formula(self):
-        rng = np.random.default_rng(0)
         sigma = realize_sigma(SigmaModel.ar1(dim=3, r=0.5))
         x = sample_latent(sigma, n=1, seed=4)
-        u = 2.0 * std_normal_cdf(x.entries[0]) - 1.0
+        # 2 Phi(x) - 1 = erf(x / sqrt(2))
+        u = np.array([math.erf(v / math.sqrt(2.0)) for v in x.entries[0]])
         want = np.outer(u, u) - rho_pop(sigma).entries / 3.0
         got = delta0_matrix(x, sigma).entries
         assert np.abs(got - want).max() <= 1e-14
@@ -242,12 +231,6 @@ class TestProjectionMatrices:
         assert np.array_equal(np.diag(d1), np.zeros(4))
         off = ~np.eye(4, dtype=bool)
         assert np.abs(d1[off] - d0[off]).max() <= 1e-10
-
-    def test_delta1_requires_tau_kernel(self):
-        sigma = realize_sigma(SigmaModel.ar1(dim=3, r=0.5))
-        x = sample_latent(sigma, n=50, seed=1)
-        with pytest.raises(ValueError, match="tau"):
-            delta1_matrix(x, sigma, kind="rho")
 
     def test_delta1_mean_zero(self):
         sigma = realize_sigma(SigmaModel.ar1(dim=4, r=0.5))
@@ -309,14 +292,22 @@ class TestInequalitySweep:
         report = inequality_sweep(grid_size=15)
         names = [row.inequality for row in report.rows]
         assert names == ["phi_contraction", "g_bound", "g_dx_bound", "gbar_bound"]
-        assert report.all_pass()
+        assert report.failing() == ()
         for row in report.rows:
             assert row.min_slack >= -1e-9
+
+    def test_failing_rows_use_one_floor(self):
+        rows = tuple(
+            SweepRow(name, slack, 0.0, 0.0, 0.0)
+            for name, slack in (("ok", -1e-9), ("low", -2e-9), ("nan", math.nan))
+        )
+        report = SweepReport(rows)
+        assert [row.inequality for row in report.failing()] == ["low", "nan"]
 
     def test_contraction_equality_at_unit_rho(self):
         # at rho = 1 the shrunk argument collapses to zero and the gap
         # reaches its stated cap of one half in the far tail
-        gap = abs(std_normal_cdf(8.0) - std_normal_cdf(0.0))
+        gap = abs(hbar0(8.0) - hbar0(0.0)) / 2.0
         assert abs(gap - 0.5) <= 1e-12
 
     def test_unused_axis_is_nan(self):
@@ -361,9 +352,6 @@ class TestOracleConsistency:
         for x, y, rho in ((0.0, 1.3, 0.5), (0.0, -0.7, -0.4), (1.1, 0.0, 0.8)):
             got = oracles.phi2_owens(x, y, rho)
             want = (
-                oracles.hbar_double_quadrature(x, y, rho)
-                + 2.0 * std_normal_cdf(x)
-                + 2.0 * std_normal_cdf(y)
-                - 1.0
+                oracles.hbar_double_quadrature(x, y, rho) + hbar0(x) + hbar0(y) + 1.0
             ) / 4.0
             assert got == pytest.approx(want, abs=5e-10)

@@ -220,10 +220,45 @@ class TestProjectionsCompare:
     def test_matches_underlying_distance(self):
         true = realize_sigma(SigmaModel.ar1(dim=5, r=0.5))
         other = realize_sigma(SigmaModel.ar1(dim=5, r=0.45))
-        from rankspec.linalg import projection_distance
-
+        projectors = []
+        for m in (true, other):
+            top = np.linalg.eigh(m.entries)[1][:, -2:]
+            projectors.append(top @ top.T)
+        want = np.abs(np.linalg.eigvalsh(projectors[0] - projectors[1])).max()
         got = pca_projections_compare(true, other, k=2)
-        assert got == projection_distance(true, other, 2)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_same_matrix(self):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(5, 5))
+        a = SymMatrix(a + a.T)
+        assert pca_projections_compare(a, a, 2) == 0.0
+
+    def test_swapped_diagonal(self):
+        a = SymMatrix(np.diag([2.0, 1.0]))
+        b = SymMatrix(np.diag([1.0, 2.0]))
+        assert pca_projections_compare(a, b, 1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_complement_symmetry(self):
+        rng = np.random.default_rng(18)
+        d = 6
+        a, b = (rng.normal(size=(d, d)) for _ in range(2))
+        a, b = SymMatrix(a + a.T), SymMatrix(b + b.T)
+        for k in (1, 2, 5):
+            try:
+                lhs = pca_projections_compare(a, b, k)
+            except ValueError:
+                continue
+            neg_a = SymMatrix(-a.entries)
+            neg_b = SymMatrix(-b.entries)
+            assert abs(lhs - pca_projections_compare(neg_a, neg_b, d - k)) < 1e-10
+
+    def test_degenerate_gap(self):
+        a = SymMatrix(np.eye(3))
+        with pytest.raises(ValueError, match="gap"):
+            pca_projections_compare(a, a, 1)
+        with pytest.raises(ValueError, match="degenerate eigengap in second matrix"):
+            pca_projections_compare(SymMatrix(np.diag([2.0, 1.0, 0.0])), a, 1)
 
     def test_flat_spectrum_rejected(self):
         identity = realize_sigma(SigmaModel.compound(dim=4, r=0.0))
