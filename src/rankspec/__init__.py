@@ -13,7 +13,7 @@ Layout:
                   correlation estimators
 - ``kernels``     bivariate normal CDF, concentration kernels, Hajek
                   projection matrices, inequality sweeps
-- ``regularize``  tapering and exhaustive sparse PCA
+- ``regularize``  tapering and exact sparse PCA
 - ``harness``     Monte Carlo experiment runner, rate fits, bound ratios
 - ``cli``         command line front end
 """

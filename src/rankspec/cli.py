@@ -479,7 +479,8 @@ def _cmd_study(args):
         print("%s %.17g" % (name, value))
     if result.failures:
         print(
-            "warning: %d replicate failures recorded" % len(result.failures),
+            "warning: %d replicate failures recorded; first: %s"
+            % (len(result.failures), result.failures[0].reason),
             file=sys.stderr,
         )
     if args.assert_gates:

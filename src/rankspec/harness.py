@@ -87,7 +87,7 @@ class Functional:
 
     Matrix functionals measure the estimate against the realized population
     matrix: spec_err and max_err are the spectral and entrywise errors,
-    sparse_spec_err(s) the exhaustive s-sparse spectral error, and
+    sparse_spec_err(s) the exact s-sparse spectral error, and
     taper_err the spectral error after tapering (bandwidth k fixed, or
     selected per cell from alpha).  Eigenstructure functionals are
     sin_angle_sparse(s) and support_recovery(s) for the s-sparse leading

@@ -1,7 +1,7 @@
 """Structured regularizers on top of the rank-based correlation estimates.
 
 Tapering damps entries away from the diagonal with a piecewise-linear
-profile and suits bandable targets; exhaustive sparse PCA recovers a
+profile and suits bandable targets; exact sparse PCA recovers a
 leading direction supported on few coordinates.  Both are elementwise or
 enumerative, so they stay exact and deterministic.
 """
@@ -113,13 +113,16 @@ class SparsePCAResult:
 
 
 def sparse_pca(sigma_hat, s, reverse_enumeration=False):
-    """Exhaustive s-sparse leading direction of a symmetric matrix.
+    """Exact s-sparse leading direction of a symmetric matrix.
 
-    Scores every support of size exactly s by the extreme absolute
-    eigenvalue of its submatrix (guarded at C(d, s) <= 1e7 candidates) and
-    keeps the lexicographically smallest argmax support.  The returned
-    vector has its largest-magnitude entry made positive, ties broken by
-    lowest index.  reverse_enumeration only reorders the scan and exists for
+    The support is the lexicographically smallest argmax, over supports of
+    size exactly s, of the extreme absolute eigenvalue of the submatrix
+    (guarded at C(d, s) <= 1e7 candidates).  ``sparse_spectral_norm`` finds
+    it by a pruned scan that skips only supports whose certified bound
+    falls short, so the result is that of scoring every support.  The
+    returned vector has its largest-magnitude entry made positive, ties
+    broken by lowest index.  reverse_enumeration reverses the scan's
+    visiting order, which scores every support of a block, and exists for
     exhaustiveness self-checks.
     """
     _, support = sparse_spectral_norm(

@@ -227,7 +227,8 @@ class TestStudies:
         argv = ["pca-study", "--preset", "thm4", "--seed", "7", "--reps", "3",
                 "--n-grid", "100,200,400", "--out-dir", str(tmp_path / "t4")]
         assert main(argv) == 0
-        assert "warning: 1 replicate failures recorded" in capsys.readouterr().err
+        assert ("warning: 1 replicate failures recorded; first: "
+                "functional proj_dist_k2: injected") in capsys.readouterr().err
         calls.clear()
         assert main(argv + ["--assert"]) == 1
         err = capsys.readouterr().err

@@ -4,7 +4,10 @@ public function in it is reached from the package itself."""
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +63,17 @@ def test_every_public_function_has_a_caller_in_the_package(layer):
         )
     ]
     assert unreached == []
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # a cold `import rankspec.cli` is the start-up cost of every command;
+    # these subpackages each add a large share of it
+    code = "import sys, rankspec.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout.split()
+    assert "rankspec.cli" in out
+    heavy = ("scipy.stats", "scipy.linalg", "scipy.sparse", "scipy.optimize")
+    assert [m for m in out if m.startswith(heavy)] == []

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankspec.errors import GuardExceededError
 from rankspec.linalg import (
@@ -196,6 +199,45 @@ class TestSparseSpectralNorm:
         eye = sparse_spectral_norm(SymMatrix(np.eye(6)), 3, reverse_enumeration=True)
         assert eye == (1.0, (0, 1, 2))
 
+    def test_reverse_scores_every_support(self, monkeypatch):
+        # lowest bound first, no bound falls below the incumbent, so the
+        # reversed scan scores all C(d, s) supports; the forward scan
+        # skips most of them on a planted block
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(20, 20)) * 0.05
+        a[np.ix_([3, 8, 15], [3, 8, 15])] += 1.0
+        a = SymMatrix(a + a.T)
+        real = np.linalg.eigvalsh
+        scored = []
+
+        def counting(stack):
+            scored.append(stack.shape[0])
+            return real(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        fwd = sparse_spectral_norm(a, 3)
+        forward_scored = sum(scored)
+        scored.clear()
+        rev = sparse_spectral_norm(a, 3, reverse_enumeration=True)
+        assert fwd == rev
+        assert fwd[1] == (3, 8, 15)
+        assert sum(scored) == math.comb(20, 3)
+        assert forward_scored < math.comb(20, 3) // 10
+
+    def test_memory_stays_blocked(self):
+        # d=60, s=4 has 487635 supports; all their index rows and bounds
+        # at once would take several times this cap
+        rng = np.random.default_rng(18)
+        a = random_sym(rng, 60)
+        tracemalloc.start()
+        try:
+            sparse_spectral_norm(a, 4)
+            sparse_spectral_norm(a, 4, reverse_enumeration=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_guard(self):
         a = SymMatrix(np.eye(40))
         with pytest.raises(GuardExceededError, match="lower s or d"):
@@ -206,6 +248,62 @@ class TestSparseSpectralNorm:
         for s in (0, 4):
             with pytest.raises(ValueError):
                 sparse_spectral_norm(a, s)
+
+
+def exhaustive_sparse_norm(m, s):
+    """Unpruned oracle: eigvalsh over the full stack of s x s principal
+    submatrices, first (lexicographically smallest) argmax support."""
+    subsets = np.array(list(combinations(range(m.shape[0]), s)), dtype=np.intp)
+    w = np.linalg.eigvalsh(m[subsets[:, :, None], subsets[:, None, :]])
+    scores = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    top = scores.max()
+    return float(top), tuple(int(i) for i in subsets[np.flatnonzero(scores == top)[0]])
+
+
+@st.composite
+def sparse_norm_inputs(draw):
+    d = draw(st.integers(1, 12))
+    s = draw(st.integers(1, d))
+    kind = draw(
+        st.sampled_from(
+            ("normal", "identity", "zero", "constant", "integer", "duplicated")
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        a = rng.normal(size=(d, d)) * 10.0 ** draw(st.integers(-3, 3))
+    elif kind == "identity":
+        a = np.eye(d)
+    elif kind == "zero":
+        a = np.zeros((d, d))
+    elif kind == "constant":
+        a = np.full((d, d), draw(st.sampled_from((-0.5, 0.3, 1.0))))
+        np.fill_diagonal(a, 1.0)
+    elif kind == "integer":
+        a = rng.integers(-2, 3, size=(d, d)).astype(float)
+    else:
+        # one block planted twice on disjoint supports: exactly tied scores
+        a = np.zeros((d, d))
+        k = max(1, d // 2)
+        block = rng.integers(-2, 3, size=(k, k)).astype(float)
+        picks = rng.permutation(d)
+        first, second = np.sort(picks[:k]), np.sort(picks[k : 2 * k])
+        a[np.ix_(first, first)] = block
+        if second.size == k:
+            a[np.ix_(second, second)] = block
+    return SymMatrix(a), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_norm_inputs())
+def test_sparse_norm_matches_unpruned_oracle(case):
+    a, s = case
+    for reverse in (False, True):
+        value, support = sparse_spectral_norm(a, s, reverse_enumeration=reverse)
+        if s == a.dim:
+            assert (value, support) == (spectral_norm(a), tuple(range(s)))
+        else:
+            assert (value, support) == exhaustive_sparse_norm(a.entries, s)
 
 
 class TestSinAngle:
