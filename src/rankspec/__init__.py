@@ -11,7 +11,7 @@ Layout:
 - ``copula``      population models, transform sets, latent sampling
 - ``rankest``     pairwise Kendall/Spearman statistics and the sine-map
                   correlation estimators
-- ``kernels``     bivariate normal CDF, concentration kernels, Hajek
+- ``kernels``     concentration kernels behind the tau statistic, Hajek
                   projection matrices, inequality sweeps
 - ``regularize``  tapering and exact sparse PCA
 - ``harness``     Monte Carlo experiment runner, rate fits, bound ratios

@@ -19,16 +19,17 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copula import DataMatrix, SigmaModel, _tied_columns
-from .errors import GuardExceededError, InputError
+from .copula import DataMatrix, SigmaModel
+from .errors import GuardExceededError, InputError, TieError
 from .harness import (
     _DIM_GUARD,
     ExperimentConfig,
     Functional,
+    _estimate,
     bound_ratio,
     load_records,
     rate_fit,
@@ -39,12 +40,6 @@ from .harness import (
     write_summary_csv,
 )
 from .kernels import inequality_sweep
-from .rankest import (
-    kendall_tau_matrix,
-    sigma_hat_rho,
-    sigma_hat_tau,
-    spearman_rho_matrix,
-)
 from .regularize import TaperSpec, sparse_pca, taper_estimate
 
 EXIT_OK = 0
@@ -74,7 +69,7 @@ def _mean_at(result, functional, n, power=1.0):
 
 
 def _thm1_metrics(result):
-    estimators = result.config.estimators
+    estimators, model = result.config.estimators, result.config.model
     rows = []
     for e in estimators:
         rows += _or_nan(
@@ -85,7 +80,7 @@ def _thm1_metrics(result):
     for e in estimators:
         rows += _or_nan(
             ("ratio_thm1_%s" % e,),
-            lambda e=e: (bound_ratio(result, "spec_err", "thm1", estimator=e),),
+            lambda e=e: (bound_ratio(result, "spec_err", "thm1", model, estimator=e),),
         )
     return rows
 
@@ -93,7 +88,9 @@ def _thm1_metrics(result):
 def _thm2_metrics(result):
     return _or_nan(
         ("ratio_thm2_q95",),
-        lambda: (bound_ratio(result, "sparse_spec_err_s3", "thm2"),),
+        lambda: (
+            bound_ratio(result, "sparse_spec_err_s3", "thm2", result.config.model),
+        ),
     )
 
 
@@ -157,32 +154,26 @@ def _thm5_metrics(result):
 
 @dataclass(frozen=True)
 class Study:
-    """One preset study: the subcommand that runs it, its experiment, the
-    ordered (name, value) rows of its study.csv, and its --assert gates.
+    """One preset study: the subcommand that runs it, its experiment at
+    seed 0, the ordered (name, value) rows of its study.csv, and its
+    --assert gates.
 
     metrics maps the ExperimentResult of the study's config to the rows.
     Each gate is (metric, low, high) with None for an open side.
     """
 
     command: str
-    model: SigmaModel
-    estimators: tuple
-    n_grid: tuple
-    d_grid: tuple
-    functionals: tuple
-    reps: int
+    experiment: ExperimentConfig
     metrics: object
     gates: tuple
 
     def config(self, seed, reps=None, n_grid=None):
-        return ExperimentConfig(
-            model=self.model,
-            estimators=self.estimators,
-            n_grid=self.n_grid if n_grid is None else n_grid,
-            d_grid=self.d_grid,
-            functionals=self.functionals,
-            reps=self.reps if reps is None else reps,
+        base = self.experiment
+        return replace(
+            base,
             seed=seed,
+            reps=base.reps if reps is None else reps,
+            n_grid=base.n_grid if n_grid is None else n_grid,
         )
 
     def gate_failures(self, metrics, failures=()):
@@ -217,12 +208,15 @@ class Study:
 STUDIES = {
     "thm1": Study(
         command="simulate",
-        model=SigmaModel.ar1(0.5, 10),
-        estimators=("tau", "rho", "oracle"),
-        n_grid=(250, 500, 1000, 2000, 4000),
-        d_grid=(10,),
-        functionals=(Functional.spec_err(),),
-        reps=100,
+        experiment=ExperimentConfig(
+            model=SigmaModel.ar1(0.5, 10),
+            estimators=("tau", "rho", "oracle"),
+            n_grid=(250, 500, 1000, 2000, 4000),
+            d_grid=(10,),
+            functionals=(Functional.spec_err(),),
+            reps=100,
+            seed=0,
+        ),
         metrics=_thm1_metrics,
         gates=(
             ("slope_tau", -0.65, -0.35),
@@ -234,55 +228,67 @@ STUDIES = {
     ),
     "thm2": Study(
         command="simulate",
-        model=SigmaModel.ar1(0.5, 30),
-        estimators=("tau",),
-        n_grid=(1000, 2000),
-        d_grid=(30,),
-        functionals=(Functional.sparse_spec_err(3),),
-        reps=200,
+        experiment=ExperimentConfig(
+            model=SigmaModel.ar1(0.5, 30),
+            estimators=("tau",),
+            n_grid=(1000, 2000),
+            d_grid=(30,),
+            functionals=(Functional.sparse_spec_err(3),),
+            reps=200,
+            seed=0,
+        ),
         metrics=_thm2_metrics,
         gates=(("ratio_thm2_q95", None, 1.80),),
     ),
     "thm3": Study(
         command="taper-study",
-        model=SigmaModel.bandable(1.0, 0.3, 64),
-        estimators=("tau",),
-        n_grid=(300, 600, 1200, 2400, 4800, 9600),
-        d_grid=(64,),
-        functionals=(
-            Functional.taper_err(alpha=1.0),
-            Functional.taper_err(k=2),
-            Functional.taper_err(k=4),
-            Functional.taper_err(k=8),
-            Functional.taper_err(k=16),
-            Functional.taper_err(k=32),
+        experiment=ExperimentConfig(
+            model=SigmaModel.bandable(1.0, 0.3, 64),
+            estimators=("tau",),
+            n_grid=(300, 600, 1200, 2400, 4800, 9600),
+            d_grid=(64,),
+            functionals=(
+                Functional.taper_err(alpha=1.0),
+                Functional.taper_err(k=2),
+                Functional.taper_err(k=4),
+                Functional.taper_err(k=8),
+                Functional.taper_err(k=16),
+                Functional.taper_err(k=32),
+            ),
+            reps=50,
+            seed=0,
         ),
-        reps=50,
         metrics=_thm3_metrics,
         gates=(("slope_sq", -0.87, -0.47), ("kcurve_interior", 1.0, 1.0)),
     ),
     "thm4": Study(
         command="pca-study",
-        model=SigmaModel.ar1(0.5, 10),
-        estimators=("tau",),
-        n_grid=(250, 500, 1000, 2000, 4000),
-        d_grid=(10,),
-        functionals=(Functional.proj_dist(2),),
-        reps=100,
+        experiment=ExperimentConfig(
+            model=SigmaModel.ar1(0.5, 10),
+            estimators=("tau",),
+            n_grid=(250, 500, 1000, 2000, 4000),
+            d_grid=(10,),
+            functionals=(Functional.proj_dist(2),),
+            reps=100,
+            seed=0,
+        ),
         metrics=_thm4_metrics,
         gates=(("slope", -0.70, -0.30),),
     ),
     "thm5": Study(
         command="pca-study",
-        model=SigmaModel.spiked(2.0, 3, 30),
-        estimators=("tau",),
-        n_grid=(200, 400, 800, 1600, 3200),
-        d_grid=(30,),
-        functionals=(
-            Functional.sin_angle_sparse(3),
-            Functional.support_recovery(3),
+        experiment=ExperimentConfig(
+            model=SigmaModel.spiked(2.0, 3, 30),
+            estimators=("tau",),
+            n_grid=(200, 400, 800, 1600, 3200),
+            d_grid=(30,),
+            functionals=(
+                Functional.sin_angle_sparse(3),
+                Functional.support_recovery(3),
+            ),
+            reps=50,
+            seed=0,
         ),
-        reps=50,
         metrics=_thm5_metrics,
         gates=(
             ("slope_median", -0.70, -0.30),
@@ -409,25 +415,20 @@ def _cmd_estimate(args):
             "estimation needs at least 2 rows, found %d" % values.shape[0]
         )
     data = DataMatrix(values)
-    tied = _tied_columns(np.sort(data.entries, axis=0))
-    if tied:
+    methods = ("tau", "rho") if args.method == "both" else (args.method,)
+    try:
+        estimates = [(method, _estimate(method, data)) for method in methods]
+    except TieError as exc:
         print(
-            "error: tied values in column%s %s; rank estimation needs "
-            "strictly ordered columns"
-            % ("s" if len(tied) > 1 else "", ", ".join(str(j) for j in tied)),
+            "error: %s; rank estimation needs strictly ordered columns" % exc,
             file=sys.stderr,
         )
         return EXIT_INPUT
     taper = TaperSpec(args.taper_k) if args.taper_k is not None else None
 
-    methods = ("tau", "rho") if args.method == "both" else (args.method,)
     written = []
     sparse_rows = []
-    for method in methods:
-        if method == "tau":
-            estimate = sigma_hat_tau(kendall_tau_matrix(data))
-        else:
-            estimate = sigma_hat_rho(spearman_rho_matrix(data))
+    for method, estimate in estimates:
         path = args.output if len(methods) == 1 else _tagged_path(args.output, method)
         _write_matrix_csv(path, estimate.entries)
         written.append(path)

@@ -162,7 +162,7 @@ def sample_latent(sigma, n, seed):
         tied = _tied_columns(np.sort(x, axis=0))
         if not tied:
             return DataMatrix(x)
-    raise TieError(tied[0], "tied values generated in column %d twice" % tied[0])
+    raise TieError(tied, "tied values generated in column %d twice" % tied[0])
 
 
 _TRANSFORMS = {
@@ -171,14 +171,10 @@ _TRANSFORMS = {
     "expshift": np.exp,
     "softsign": lambda x: x / (1.0 + np.abs(x)),
 }
-# tag used informally for the bounded odd transform
-_TAG_ALIASES = {"logit-ish": "softsign"}
-
 TRANSFORM_TAGS = tuple(sorted(_TRANSFORMS))
 
 
 def _canonical_tag(tag):
-    tag = _TAG_ALIASES.get(tag, tag)
     if tag not in _TRANSFORMS:
         raise ValueError(
             "unknown transform tag %r; choose from %s" % (tag, ", ".join(TRANSFORM_TAGS))

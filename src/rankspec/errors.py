@@ -10,11 +10,15 @@ class InputError(RankspecError, ValueError):
 
 
 class TieError(RankspecError, ValueError):
-    """Tied observations in a column that must be totally ordered."""
+    """Tied observations in columns that must be totally ordered; .columns
+    holds every tied column index and .column the first."""
 
-    def __init__(self, column, message=None):
-        self.column = int(column)
-        super().__init__(message or "tied values in column %d" % self.column)
+    def __init__(self, columns, message=None):
+        self.columns = tuple(int(j) for j in columns)
+        self.column = self.columns[0]
+        plural = "s" if len(self.columns) > 1 else ""
+        names = ", ".join(map(str, self.columns))
+        super().__init__(message or "tied values in column%s %s" % (plural, names))
 
 
 class GuardExceededError(RankspecError):

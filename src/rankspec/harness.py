@@ -618,24 +618,22 @@ def rate_fit(result, functional, vary="n", estimator=None, power=1.0, stat="mean
     return slope, stderr
 
 
-def trend_inversions(result, functional, vary="n", estimator=None, power=1.0,
-                     stat="mean", decreasing=True):
-    """Number of adjacent grid steps moving against the expected direction.
+def trend_inversions(result, functional, vary="n", stat="mean"):
+    """Number of adjacent grid steps at which the error strictly increases.
 
-    The aggregated series is ordered by the varied parameter; with
-    decreasing=True an inversion is a step that strictly increases.  Rate
-    checks allow a single Monte Carlo inversion over the grid.
+    The aggregated series is ordered by the varied parameter and should
+    decrease.  Rate checks allow a single Monte Carlo inversion over the
+    grid.  The result must hold one estimator for the functional.
     """
-    _check_series_args(vary, stat, power)
-    recs = _select(result, functional, estimator)
-    _, ys = _series(recs, vary, power, stat)
+    _check_series_args(vary, stat, 1.0)
+    recs = _select(result, functional, None)
+    _, ys = _series(recs, vary, 1.0, stat)
     if ys.size < 2:
         raise ValueError("trend check needs at least 2 %s values" % vary)
-    steps = np.diff(ys)
-    return int((steps > 0).sum()) if decreasing else int((steps < 0).sum())
+    return int((np.diff(ys) > 0).sum())
 
 
-def bound_ratio(result, functional, bound, estimator=None, t=math.log(20.0), model=None):
+def bound_ratio(result, functional, bound, model, estimator=None):
     """Worst observed-to-theoretical error ratio over the grid cells.
 
     bound selects the comparator:
@@ -650,12 +648,11 @@ def bound_ratio(result, functional, bound, estimator=None, t=math.log(20.0), mod
       at or below 1 are expected.
     - thm2 with a sparse_spec_err functional (s is read off the label).
       Numerator is the per-cell quantile at level 1 - e^(-t), denominator
-      the constant-free shape sqrt(x) + x with x = (t + s log(ed/s)) / n.
-      Default t = log 20, putting the quantile at 0.95.
+      the constant-free shape sqrt(x) + x with x = (t + s log(ed/s)) / n,
+      at t = log 20, which puts the quantile at 0.95.
 
-    The population model is taken from the attached config unless passed
-    explicitly (results loaded from CSV carry no config).  Cells whose
-    numerator is zero contribute ratio 0.
+    model is the population family; thm1 realizes it at each cell's d.
+    Cells whose numerator is zero contribute ratio 0.
     """
     if bound not in ("thm1", "thm2"):
         raise ValueError("bound must be one of thm1, thm2")
@@ -666,12 +663,6 @@ def bound_ratio(result, functional, bound, estimator=None, t=math.log(20.0), mod
         s = int(functional[len(prefix):])
     elif functional != "spec_err":
         raise ValueError("bound thm1 compares the spec_err functional")
-    if model is None:
-        if result.config is None:
-            raise ValueError("pass model= when the result has no attached config")
-        model = result.config.model
-    if not t > 0:
-        raise ValueError("t must be positive")
 
     recs = _select(result, functional, estimator)
     est = recs[0].estimator
@@ -695,6 +686,7 @@ def bound_ratio(result, functional, bound, estimator=None, t=math.log(20.0), mod
                 num = float(arr.mean())
                 rhs = norm * (math.sqrt(d / n) + d / n)
         else:
+            t = math.log(20.0)
             num = float(np.quantile(arr, 1.0 - math.exp(-t)))
             x = (t + s * math.log(math.e * d / s)) / n
             rhs = math.sqrt(x) + x

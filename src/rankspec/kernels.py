@@ -44,6 +44,8 @@ __all__ = [
 # |gbar| <= GBAR_SLOPE |rho|
 TAU_KERNEL_SLOPE = 2.0 / math.pi + 1.0
 GBAR_SLOPE = math.sqrt(2.0) / math.pi + 0.5
+# gbar has converged once a panel doubling moves it by at most this much
+_GBAR_TOL = 1e-9
 
 
 _GL_CACHE = {}
@@ -176,12 +178,12 @@ def _gbar_panels(x, rho, panels, order=16):
     return (vals * (wpts * density)).sum(axis=-1)
 
 
-def gbar(x, rho, tol=1e-9):
+def gbar(x, rho):
     """Average kernel gbar(x, rho) = int hbar(x, y, rho) phi(y) dy.
 
     Panel-doubling composite quadrature over y in [-8.5, 8.5]; beyond that
     the integrand mass is below 1e-16.  Converged when a doubling moves the
-    result by at most tol (well inside the 1e-8 contract); otherwise raises.
+    result by at most 1e-9 (well inside the 1e-8 contract); otherwise raises.
     Broadcasts over array inputs.
     """
     (xb, rb), scalar = _broadcast(x, rho)
@@ -190,7 +192,7 @@ def gbar(x, rho, tol=1e-9):
     previous = None
     for panels in (8, 16, 32, 64):
         estimate = _gbar_panels(xb, rb, panels)
-        if previous is not None and float(np.abs(estimate - previous).max()) <= tol:
+        if previous is not None and float(np.abs(estimate - previous).max()) <= _GBAR_TOL:
             return (
                 float(estimate[0])
                 if scalar
@@ -198,7 +200,7 @@ def gbar(x, rho, tol=1e-9):
             )
         previous = estimate
     raise ConvergenceError(
-        "gbar quadrature did not stabilize to %g after %d panels" % (tol, panels)
+        "gbar quadrature did not stabilize to %g after %d panels" % (_GBAR_TOL, panels)
     )
 
 

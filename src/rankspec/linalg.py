@@ -228,25 +228,22 @@ def _gershgorin_bounds(abs_m, cols):
     return bound * (1.0 + s * 1e-10) + 1e-300
 
 
-def _scan_block(m, cols, bound, best, reverse):
+def _scan_block(m, cols, bound, best):
     """Fold one block of supports into the incumbent best = (score, support).
 
     eigvalsh scores the candidates in batches of growing size, each batch
-    the highest remaining bounds, or with ``reverse`` the lowest.  After
-    each batch every candidate whose bound falls below the incumbent is
-    dropped: its score cannot reach it.  Lowest bounds first, no bound ever
-    falls below the incumbent, so every support is scored.
+    the highest remaining bounds.  After each batch every candidate whose
+    bound falls below the incumbent is dropped: its score cannot reach it.
     """
     best_val, best_set = best
     s = cols.shape[0]
     cap = max(1, _BLOCK_ENTRIES // (s * s))
-    key = bound if reverse else -bound
     order = np.flatnonzero(bound >= best_val)
     # one batch of 32 usually settles spiked d=30, s=3 inputs: the rest
     # of their 4060 supports fall below the incumbent at once
     step = min(32, cap)
     while order.size:
-        part = np.argpartition(key[order], min(step, order.size) - 1)
+        part = np.argpartition(-bound[order], min(step, order.size) - 1)
         batch, order = order[part[:step]], order[part[step:]]
         sub = cols[:, batch].T
         w = np.linalg.eigvalsh(m[sub[:, :, None], sub[:, None, :]])
@@ -263,7 +260,7 @@ def _scan_block(m, cols, bound, best, reverse):
     return best_val, best_set
 
 
-def sparse_spectral_norm(a, s, reverse_enumeration=False):
+def sparse_spectral_norm(a, s):
     """Exact maximum of the spectral norm over s x s principal submatrices.
 
     Considers every index set of size exactly s.  By Cauchy interlacing both
@@ -280,11 +277,7 @@ def sparse_spectral_norm(a, s, reverse_enumeration=False):
     result equals that of scoring every support, bit for bit.
 
     Returns ``(value, support)`` where support is the lexicographically
-    smallest attaining index tuple regardless of visiting order.
-    ``reverse_enumeration`` visits the candidates in exactly the reverse
-    order: last block first and lowest bound first, which scores every
-    support of a block.  Its result must equal the pruned scan's; that
-    agreement is the exhaustiveness self-check.
+    smallest attaining index tuple.
 
     Raises GuardExceededError when C(d, s) exceeds 1e7.
     """
@@ -304,14 +297,11 @@ def sparse_spectral_norm(a, s, reverse_enumeration=False):
     abs_m = np.abs(m)
     binom = _binomials(d, s, total)
     rows = max(1, _BLOCK_ENTRIES // s)
-    starts = range(0, total, rows)
-    if reverse_enumeration:
-        starts = reversed(starts)
     best = (-math.inf, None)
-    for start in starts:
+    for start in range(0, total, rows):
         cols = _lex_subsets(binom, total, start, min(start + rows, total))
         bound = _gershgorin_bounds(abs_m, cols)
-        best = _scan_block(m, cols, bound, best, reverse_enumeration)
+        best = _scan_block(m, cols, bound, best)
     return best
 
 

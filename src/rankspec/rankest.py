@@ -35,13 +35,10 @@ class RankStatMatrix:
 
     kind: str
     values: SymMatrix
-    n: int
 
     def __post_init__(self):
         if self.kind not in ("tau", "rho"):
             raise ValueError("kind must be 'tau' or 'rho'")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
         a = self.values.entries
         if not (np.diag(a) == 1.0).all():
             raise ValueError("diagonal must equal 1 exactly")
@@ -55,7 +52,7 @@ def _strict_orders_and_ranks(x):
     order = np.argsort(x, axis=0)
     tied = _tied_columns(np.take_along_axis(x, order, axis=0))
     if tied:
-        raise TieError(tied[0])
+        raise TieError(tied)
     # int32 ranks halve memory traffic
     dtype = np.int32 if n < 2**31 else np.int64
     ranks = np.empty((n, d), dtype=dtype)
@@ -127,7 +124,7 @@ def kendall_tau_matrix(y):
     pairs = n * (n - 1)
     values = (pairs - 4 * (discordant + discordant.T)) / float(pairs)
     np.fill_diagonal(values, 1.0)
-    return RankStatMatrix("tau", SymMatrix(values), n)
+    return RankStatMatrix("tau", SymMatrix(values))
 
 
 def spearman_rho_matrix(y):
@@ -151,7 +148,7 @@ def spearman_rho_matrix(y):
     gram = centered.T @ centered
     values = gram / ((n * (n * n - 1)) / 12.0)
     np.fill_diagonal(values, 1.0)
-    return RankStatMatrix("rho", SymMatrix(values), n)
+    return RankStatMatrix("rho", SymMatrix(values))
 
 
 def _unit_diag_corr(values):

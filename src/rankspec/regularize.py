@@ -112,7 +112,7 @@ class SparsePCAResult:
             raise ValueError("leading vector must vanish off the support")
 
 
-def sparse_pca(sigma_hat, s, reverse_enumeration=False):
+def sparse_pca(sigma_hat, s):
     """Exact s-sparse leading direction of a symmetric matrix.
 
     The support is the lexicographically smallest argmax, over supports of
@@ -121,13 +121,9 @@ def sparse_pca(sigma_hat, s, reverse_enumeration=False):
     it by a pruned scan that skips only supports whose certified bound
     falls short, so the result is that of scoring every support.  The
     returned vector has its largest-magnitude entry made positive, ties
-    broken by lowest index.  reverse_enumeration reverses the scan's
-    visiting order, which scores every support of a block, and exists for
-    exhaustiveness self-checks.
+    broken by lowest index.
     """
-    _, support = sparse_spectral_norm(
-        sigma_hat, s, reverse_enumeration=reverse_enumeration
-    )
+    _, support = sparse_spectral_norm(sigma_hat, s)
     idx = np.asarray(support, dtype=np.intp)
     decomp = eig_sym(SymMatrix(sigma_hat.entries[np.ix_(idx, idx)]))
     pick = 0 if abs(decomp.values[0]) >= abs(decomp.values[-1]) else idx.size - 1

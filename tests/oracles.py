@@ -5,6 +5,7 @@ with the package, so agreement is evidence rather than tautology.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy.special import ndtr, owens_t
@@ -197,3 +198,14 @@ def gbar_brute(x, rho, panels=32, order=16):
     for yv, wv in zip(ypts, wpts):
         total += wv * hbar_owens(x, yv, rho) * math.exp(-0.5 * yv * yv)
     return total / math.sqrt(2.0 * math.pi)
+
+
+def exhaustive_sparse_norm(m, s):
+    """Unpruned sparse spectral norm: eigvalsh over the full stack of s x s
+    principal submatrices of the array m, with the first (lexicographically
+    smallest) argmax support."""
+    subsets = np.array(list(combinations(range(m.shape[0]), s)), dtype=np.intp)
+    w = np.linalg.eigvalsh(m[subsets[:, :, None], subsets[:, None, :]])
+    scores = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    top = scores.max()
+    return float(top), tuple(int(i) for i in subsets[np.flatnonzero(scores == top)[0]])

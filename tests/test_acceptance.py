@@ -253,22 +253,20 @@ def test_sparse_norm_deviation_quantile_and_enumeration(thm2_run):
     result, metrics, failures, _ = thm2_run
     assert not result.failures
     assert not failures, (failures, metrics)
-    # replay a few replicates and require forward and reversed support
-    # enumeration to return the same maximizer
+    # replay a few replicates and require the pruned scan to return the
+    # exhaustive maximizer, bit for bit
     config = result.config
     sigma = realize_sigma(config.model)
     for rep in range(3):
         x = sample_latent(sigma, config.n_grid[0], replicate_seed(SEED, 0, rep))
         estimate = sigma_hat_tau(kendall_tau_matrix(x))
         diff = SymMatrix(estimate.entries - sigma.entries)
-        forward = sparse_spectral_norm(diff, 3)
-        reverse = sparse_spectral_norm(diff, 3, reverse_enumeration=True)
-        assert forward[0] == reverse[0]
-        assert forward[1] == reverse[1]
+        found = sparse_spectral_norm(diff, 3)
+        assert found == oracles.exhaustive_sparse_norm(diff.entries, 3)
         recorded = [
             r.value for r in result.records if r.replicate == rep
         ]
-        assert recorded[0] == forward[0]
+        assert recorded[0] == found[0]
 
 
 def _constant_result(config):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rankspec.errors import GuardExceededError
 from rankspec.linalg import (
     CorrMatrix,
@@ -190,19 +191,16 @@ class TestSparseSpectralNorm:
         assert value == 1.0
         assert support == (0, 1)
 
-    def test_reverse_enumeration_identical(self):
+    def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(16)
         a = random_sym(rng, 7)
-        fwd = sparse_spectral_norm(a, 3)
-        rev = sparse_spectral_norm(a, 3, reverse_enumeration=True)
-        assert fwd == rev
-        eye = sparse_spectral_norm(SymMatrix(np.eye(6)), 3, reverse_enumeration=True)
+        assert sparse_spectral_norm(a, 3) == oracles.exhaustive_sparse_norm(a.entries, 3)
+        eye = sparse_spectral_norm(SymMatrix(np.eye(6)), 3)
         assert eye == (1.0, (0, 1, 2))
 
-    def test_reverse_scores_every_support(self, monkeypatch):
-        # lowest bound first, no bound falls below the incumbent, so the
-        # reversed scan scores all C(d, s) supports; the forward scan
-        # skips most of them on a planted block
+    def test_pruned_scan_skips_most_supports(self, monkeypatch):
+        # on a planted block the first batch finds the maximizer and every
+        # other bound falls below it
         rng = np.random.default_rng(17)
         a = rng.normal(size=(20, 20)) * 0.05
         a[np.ix_([3, 8, 15], [3, 8, 15])] += 1.0
@@ -215,14 +213,10 @@ class TestSparseSpectralNorm:
             return real(stack)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        fwd = sparse_spectral_norm(a, 3)
-        forward_scored = sum(scored)
-        scored.clear()
-        rev = sparse_spectral_norm(a, 3, reverse_enumeration=True)
-        assert fwd == rev
-        assert fwd[1] == (3, 8, 15)
-        assert sum(scored) == math.comb(20, 3)
-        assert forward_scored < math.comb(20, 3) // 10
+        found = sparse_spectral_norm(a, 3)
+        assert sum(scored) < math.comb(20, 3) // 10
+        assert found == oracles.exhaustive_sparse_norm(a.entries, 3)
+        assert found[1] == (3, 8, 15)
 
     def test_memory_stays_blocked(self):
         # d=60, s=4 has 487635 supports; all their index rows and bounds
@@ -232,7 +226,6 @@ class TestSparseSpectralNorm:
         tracemalloc.start()
         try:
             sparse_spectral_norm(a, 4)
-            sparse_spectral_norm(a, 4, reverse_enumeration=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,16 +241,6 @@ class TestSparseSpectralNorm:
         for s in (0, 4):
             with pytest.raises(ValueError):
                 sparse_spectral_norm(a, s)
-
-
-def exhaustive_sparse_norm(m, s):
-    """Unpruned oracle: eigvalsh over the full stack of s x s principal
-    submatrices, first (lexicographically smallest) argmax support."""
-    subsets = np.array(list(combinations(range(m.shape[0]), s)), dtype=np.intp)
-    w = np.linalg.eigvalsh(m[subsets[:, :, None], subsets[:, None, :]])
-    scores = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-    top = scores.max()
-    return float(top), tuple(int(i) for i in subsets[np.flatnonzero(scores == top)[0]])
 
 
 @st.composite
@@ -298,12 +281,11 @@ def sparse_norm_inputs(draw):
 @given(sparse_norm_inputs())
 def test_sparse_norm_matches_unpruned_oracle(case):
     a, s = case
-    for reverse in (False, True):
-        value, support = sparse_spectral_norm(a, s, reverse_enumeration=reverse)
-        if s == a.dim:
-            assert (value, support) == (spectral_norm(a), tuple(range(s)))
-        else:
-            assert (value, support) == exhaustive_sparse_norm(a.entries, s)
+    found = sparse_spectral_norm(a, s)
+    if s == a.dim:
+        assert found == (spectral_norm(a), tuple(range(s)))
+    else:
+        assert found == oracles.exhaustive_sparse_norm(a.entries, s)
 
 
 class TestSinAngle:

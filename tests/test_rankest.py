@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from rankspec.copula import DataMatrix, TransformSet, apply_transforms
+from rankspec.copula import TRANSFORM_TAGS, DataMatrix, TransformSet, apply_transforms
 from rankspec.errors import GuardExceededError, TieError
 from rankspec.linalg import SymMatrix, eig_sym, spectral_norm
 from rankspec.rankest import (
@@ -70,11 +72,36 @@ class TestKendall:
         ref = scipy.stats.kendalltau(x[:, 0], x[:, 1]).statistic
         assert ours == pytest.approx(ref, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [255, 256, 65025, 65026, 65535, 65536])
+    def test_matches_scipy_across_dtype_switches(self, n):
+        # n on both sides of each np.min_scalar_type switch in
+        # _row_inversions: padded values at k*m = 256 and 65536, value
+        # blocks at k = 256, counters at m = 256
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=n)
+        x = np.column_stack(
+            [z, z + rng.normal(size=n), -z + 0.5 * rng.normal(size=n)]
+        )
+        ours = kendall_tau_matrix(DataMatrix(x)).values.entries
+        pairs = n * (n - 1)
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            ref = scipy.stats.kendalltau(x[:, j], x[:, k]).statistic
+            # without ties tau = 1 - 4 dis / (n(n-1)), so rounding recovers
+            # the exact discordant count
+            dis = round((1.0 - ref) * pairs / 4.0)
+            assert ours[j, k] == (pairs - 4 * dis) / float(pairs)
+
     def test_tie_error_names_column(self):
         x = DataMatrix(np.array([[1.0, 1.0, 5.0], [2.0, 3.0, 5.0], [3.0, 2.0, 7.0]]))
         with pytest.raises(TieError) as info:
             kendall_tau_matrix(x)
         assert info.value.column == 2
+        # every tied column is carried; .column stays the first
+        x = DataMatrix(np.array([[1.0, 1.0, 5.0], [1.0, 3.0, 5.0], [3.0, 2.0, 7.0]]))
+        for statistic in (kendall_tau_matrix, spearman_rho_matrix):
+            with pytest.raises(TieError, match="columns 0, 2") as info:
+                statistic(x)
+            assert (info.value.column, info.value.columns) == (0, (0, 2))
 
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
@@ -140,7 +167,26 @@ class TestSpearman:
                     assert abs(rho[j, k] - mixed) < 1e-12
 
 
+@st.composite
+def warped_samples(draw):
+    n = draw(st.integers(2, 120))
+    d = draw(st.integers(1, 6))
+    tags = draw(st.lists(st.sampled_from(TRANSFORM_TAGS), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DataMatrix(rng.normal(size=(n, d))), TransformSet(tuple(tags))
+
+
 class TestMonotoneInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(warped_samples())
+    def test_random_warps_keep_both_statistics_bitwise(self, case):
+        x, tags = case
+        y = apply_transforms(x, tags)
+        for statistic in (kendall_tau_matrix, spearman_rho_matrix):
+            assert np.array_equal(
+                statistic(x).values.entries, statistic(y).values.entries
+            )
+
     def test_bitwise_invariance_both_statistics(self):
         rng = np.random.default_rng(7)
         x = DataMatrix(rng.normal(size=(50, 4)))
@@ -158,26 +204,26 @@ class TestMonotoneInvariance:
 class TestSineMaps:
     def test_sigma_hat_tau_values(self):
         base = np.array([[1.0, 1 / 3], [1 / 3, 1.0]])
-        est = sigma_hat_tau(RankStatMatrix("tau", SymMatrix(base), 3))
+        est = sigma_hat_tau(RankStatMatrix("tau", SymMatrix(base)))
         assert est.entries[0, 1] == pytest.approx(0.5, abs=1e-15)
         assert est.entries[0, 0] == 1.0
-        full = sigma_hat_tau(RankStatMatrix("tau", SymMatrix(np.ones((2, 2))), 3))
+        full = sigma_hat_tau(RankStatMatrix("tau", SymMatrix(np.ones((2, 2)))))
         assert full.entries[0, 1] == pytest.approx(1.0, abs=1e-15)
-        zero = sigma_hat_tau(RankStatMatrix("tau", SymMatrix(np.eye(2)), 3))
+        zero = sigma_hat_tau(RankStatMatrix("tau", SymMatrix(np.eye(2))))
         assert zero.entries[0, 1] == 0.0
 
     def test_sigma_hat_rho_values(self):
         base = np.array([[1.0, 0.5], [0.5, 1.0]])
-        est = sigma_hat_rho(RankStatMatrix("rho", SymMatrix(base), 3))
+        est = sigma_hat_rho(RankStatMatrix("rho", SymMatrix(base)))
         assert est.entries[0, 1] == pytest.approx(2 * math.sin(math.pi / 12), abs=1e-15)
         assert est.entries[0, 1] == pytest.approx(0.517638, abs=5e-7)
-        full = sigma_hat_rho(RankStatMatrix("rho", SymMatrix(np.ones((2, 2))), 3))
+        full = sigma_hat_rho(RankStatMatrix("rho", SymMatrix(np.ones((2, 2)))))
         assert full.entries[0, 1] == pytest.approx(1.0, abs=1e-15)
         assert full.entries[0, 0] == 1.0
 
     def test_kind_mismatch_rejected(self):
-        t = RankStatMatrix("tau", SymMatrix(np.eye(2)), 3)
-        r = RankStatMatrix("rho", SymMatrix(np.eye(2)), 3)
+        t = RankStatMatrix("tau", SymMatrix(np.eye(2)))
+        r = RankStatMatrix("rho", SymMatrix(np.eye(2)))
         with pytest.raises(ValueError):
             sigma_hat_tau(r)
         with pytest.raises(ValueError):
@@ -202,8 +248,8 @@ class TestSineMaps:
         grid = np.linspace(-0.99, 0.99, 41)
         for v in grid:
             sigma = CorrMatrix([[1.0, v], [v, 1.0]])
-            t = RankStatMatrix("tau", SymMatrix(tau_pop(sigma).entries), 3)
-            r = RankStatMatrix("rho", SymMatrix(rho_pop(sigma).entries), 3)
+            t = RankStatMatrix("tau", SymMatrix(tau_pop(sigma).entries))
+            r = RankStatMatrix("rho", SymMatrix(rho_pop(sigma).entries))
             assert sigma_hat_tau(t).entries[0, 1] == pytest.approx(v, abs=1e-14)
             assert sigma_hat_rho(r).entries[0, 1] == pytest.approx(v, abs=1e-14)
 
@@ -264,10 +310,8 @@ class TestOracleSampleCorr:
 class TestRankStatMatrixInvariants:
     def test_rejects_bad_kind_and_diag(self):
         with pytest.raises(ValueError):
-            RankStatMatrix("theta", SymMatrix(np.eye(2)), 3)
+            RankStatMatrix("theta", SymMatrix(np.eye(2)))
         with pytest.raises(ValueError):
-            RankStatMatrix("tau", SymMatrix(np.eye(2) * 0.5), 3)
+            RankStatMatrix("tau", SymMatrix(np.eye(2) * 0.5))
         with pytest.raises(ValueError):
-            RankStatMatrix("tau", SymMatrix([[1.0, 1.5], [1.5, 1.0]]), 3)
-        with pytest.raises(ValueError):
-            RankStatMatrix("tau", SymMatrix(np.eye(2)), 1)
+            RankStatMatrix("tau", SymMatrix([[1.0, 1.5], [1.5, 1.0]]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from rankspec.copula import SigmaModel, realize_sigma
 from rankspec.errors import GuardExceededError
 from rankspec.linalg import SymMatrix, eig_sym, sin_angle, spectral_norm
@@ -178,16 +179,15 @@ class TestSparsePCA:
                 second >= first - 1e-12 for first, second in zip(scores, scores[1:])
             )
 
-    def test_reverse_enumeration_agrees(self):
+    def test_matches_exhaustive_oracle(self):
         sigma = realize_sigma(SigmaModel.spiked(dim=10, lam=2.0, s=3))
         rng = np.random.default_rng(4)
         a = rng.standard_normal((8, 8))
         for matrix, s in ((sigma, 3), (SymMatrix((a + a.T) / 2.0), 3)):
-            forward = sparse_pca(matrix, s)
-            backward = sparse_pca(matrix, s, reverse_enumeration=True)
-            assert forward.support == backward.support
-            assert forward.leading_value == backward.leading_value
-            assert np.array_equal(forward.leading_vector, backward.leading_vector)
+            result = sparse_pca(matrix, s)
+            value, support = oracles.exhaustive_sparse_norm(matrix.entries, s)
+            assert result.support == support
+            assert abs(result.leading_value) == pytest.approx(value, rel=1e-12)
 
     def test_guard(self):
         with pytest.raises(GuardExceededError):
