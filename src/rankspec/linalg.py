@@ -260,6 +260,20 @@ def _scan_block(m, cols, bound, best):
     return best_val, best_set
 
 
+def _sparse_subsets(d, s):
+    """C(d, s), the supports an exact s-sparse scan enumerates.  Raises
+    ValueError unless 1 <= s <= d, and GuardExceededError past 1e7."""
+    if not 1 <= s <= d:
+        raise ValueError("s must satisfy 1 <= s <= d, got s=%d with d=%d" % (s, d))
+    total = math.comb(d, s)
+    if total > _ENUMERATION_GUARD:
+        raise GuardExceededError(
+            "C(%d, %d) = %d subsets exceeds the enumeration guard %d; "
+            "lower s or d" % (d, s, total, _ENUMERATION_GUARD)
+        )
+    return total
+
+
 def sparse_spectral_norm(a, s):
     """Exact maximum of the spectral norm over s x s principal submatrices.
 
@@ -283,14 +297,7 @@ def sparse_spectral_norm(a, s):
     """
     m = _as_sym(a).entries
     d = m.shape[0]
-    if not 1 <= s <= d:
-        raise ValueError("s must satisfy 1 <= s <= d, got s=%d with d=%d" % (s, d))
-    total = math.comb(d, s)
-    if total > _ENUMERATION_GUARD:
-        raise GuardExceededError(
-            "C(%d, %d) = %d subsets exceeds the enumeration guard %d; "
-            "lower s or d" % (d, s, total, _ENUMERATION_GUARD)
-        )
+    total = _sparse_subsets(d, s)
     if s == d:
         return spectral_norm(a), tuple(range(d))
 

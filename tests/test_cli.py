@@ -11,7 +11,7 @@ import pytest
 import rankspec.harness as harness
 from rankspec.cli import STUDIES, main
 from rankspec.harness import Failure, load_records, rate_fit
-from rankspec.kernels import SweepReport, SweepRow
+from rankspec.kernels import SweepReport, SweepRow, inequality_sweep
 from rankspec.linalg import CorrMatrix
 from rankspec.regularize import TaperSpec, sparse_pca, taper_estimate
 
@@ -154,6 +154,40 @@ class TestEstimate:
                      "--method", "tau", "--output", str(tmp_path / "o.csv"),
                      "--sparse-pca-s", "12"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--sparse-pca-s", "41"], 2),
+            (["--sparse-pca-s", "0"], 2),
+            (["--sparse-pca-s", "12"], 3),
+            (["--taper-k", "0"], 2),
+            (["--taper-k", "8", "--sparse-pca-s", "41"], 2),
+        ],
+        ids=["s-above-d", "s-zero", "s-past-guard", "k-zero", "s-above-d-with-k"],
+    )
+    def test_bad_flags_fail_before_estimating(self, tmp_path, monkeypatch, flags, code):
+        import rankspec.cli as cli
+
+        def never(method, data):
+            raise AssertionError("estimated before checking the flags")
+
+        monkeypatch.setattr(cli, "_estimate", never)
+        rng = np.random.default_rng(1)
+        write_sample(tmp_path / "x.csv", rng.normal(size=(50, 40)).tolist())
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["estimate", "--input", str(tmp_path / "x.csv"), "--method", "both",
+                     "--output", str(out / "o.csv")] + flags) == code
+        assert os.listdir(out) == []
+
+    def test_bad_flag_reported_before_ties(self, tmp_path, capsys):
+        write_sample(tmp_path / "x.csv", [(1, 1, 5), (1, 2, 5), (3, 3, 6)])
+        code = main(["estimate", "--input", str(tmp_path / "x.csv"), "--method", "tau",
+                     "--output", str(tmp_path / "o.csv"), "--taper-k", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bandwidth k" in err and "tied" not in err
 
     def test_dimension_guard_exit(self, tmp_path, capsys):
         write_sample(tmp_path / "wide.csv", np.arange(3 * 1025.0).reshape(3, 1025).tolist())
@@ -420,6 +454,26 @@ class TestKernelCheck:
         assert all(float(r["min_slack"]) >= -1e-9 for r in rows)
         printed = capsys.readouterr().out
         assert "worst slack" in printed
+
+    def test_csv_roundtrip(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        assert main(["kernel-check", "--grid-size", "9", "--out", str(path)]) == 0
+        report = inequality_sweep(grid_size=9)
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["inequality", "min_slack", "arg_x", "arg_y", "arg_rho"]
+        assert len(rows) == 5
+        for parsed, row in zip(rows[1:], report.rows):
+            assert parsed[0] == row.inequality
+            assert float(parsed[1]) == row.min_slack
+            assert float(parsed[4]) == row.arg_rho
+
+    def test_grid_guard(self, tmp_path, capsys):
+        # refused before any grid is built, so the oversized sweep never runs
+        out = tmp_path / "s.csv"
+        assert main(["kernel-check", "--grid-size", "202", "--out", str(out)]) == 3
+        assert "grid guard 201" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_too_small(self, tmp_path):
         assert main(["kernel-check", "--grid-size", "2",

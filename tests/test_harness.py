@@ -1,7 +1,12 @@
 import math
+import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankspec.copula import SigmaModel, realize_sigma, sample_latent
 from rankspec.errors import GuardExceededError, InputError, TieError
@@ -11,9 +16,11 @@ from rankspec.harness import (
     Failure,
     Functional,
     Record,
+    _write_csv,
     bound_ratio,
     load_records,
     rate_fit,
+    read_csv_rows,
     replicate_seed,
     run_experiment,
     trend_inversions,
@@ -609,7 +616,48 @@ class TestBoundRatio:
             bound_ratio(res, "max_err", "thm3", model)
 
 
+_EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+    1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
+)
+_ANY_FLOAT = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+
+
 class TestCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _ANY_FLOAT,
+                st.integers(),
+                st.text(st.characters(min_codepoint=0, max_codepoint=127)),
+                _ANY_FLOAT,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_written_values_read_back_bit_for_bit(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.csv")
+            _write_csv(path, [("x", "k", "label", "y")] + rows)
+            back = [fields for _, fields in read_csv_rows(path)]
+        assert len(back) == len(rows)
+        for fields, row in zip(back, rows):
+            assert len(fields) == 4
+            assert int(fields[1]) == row[1]
+            assert fields[2] == row[2]
+            for text, value in ((fields[0], row[0]), (fields[3], row[3])):
+                got = float(text)
+                if math.isnan(value):
+                    assert math.isnan(got)
+                else:
+                    assert struct.pack("<d", got) == struct.pack("<d", value)
+
     def test_records_round_trip(self, tmp_path):
         cfg = ar1_cfg(
             estimators=("tau", "rho"),

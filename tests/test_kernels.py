@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -316,19 +315,6 @@ class TestInequalitySweep:
         assert math.isnan(by_name["phi_contraction"].arg_y)
         assert math.isnan(by_name["gbar_bound"].arg_y)
         assert not math.isnan(by_name["g_bound"].arg_y)
-
-    def test_csv_roundtrip(self, tmp_path):
-        report = inequality_sweep(grid_size=9)
-        path = tmp_path / "sweep.csv"
-        report.write_csv(path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["inequality", "min_slack", "arg_x", "arg_y", "arg_rho"]
-        assert len(rows) == 5
-        for parsed, row in zip(rows[1:], report.rows):
-            assert parsed[0] == row.inequality
-            assert float(parsed[1]) == row.min_slack
-            assert float(parsed[4]) == row.arg_rho
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_size"):

@@ -1,6 +1,6 @@
 """Each layer module's __all__ matches what the module offers, and every
 public function in it, and every optional parameter of one, is reached
-from the package itself."""
+from the package itself.  Only harness touches files."""
 
 import ast
 import importlib
@@ -125,6 +125,23 @@ def test_every_optional_parameter_is_set_in_the_package(layer):
             ):
                 unset.append("%s(%s)" % (name, param.name))
     assert unset == []
+
+
+def test_only_harness_reads_and_writes_files():
+    # one module owns the CSV format, so a format change is made in one place
+    owners = set()
+    for stem, _, node in _nodes():
+        if isinstance(node, ast.Import):
+            if any(alias.name == "csv" for alias in node.names):
+                owners.add((stem, "import csv"))
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "csv":
+                owners.add((stem, "import csv"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+                owners.add((stem, "open()"))
+    assert sorted(owners) == [("harness", "import csv"), ("harness", "open()")]
 
 
 def test_cli_import_loads_no_heavy_scipy_subpackage():
