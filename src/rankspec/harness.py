@@ -11,7 +11,9 @@ isolation and the result is independent of the thread schedule.
 This module also owns the package's CSV format, for reading and writing
 alike: one writer, which puts every float at 17 significant digits so it
 reads back bit for bit, and one reader that skips blank rows and one
-header.  The command line reads and writes its files through them.
+header.  The command line reads and writes its files through them.  A
+numeric matrix is parsed by np.loadtxt when the file is well formed, and
+row by row by that reader otherwise, with the same values either way.
 """
 
 from __future__ import annotations
@@ -734,26 +736,61 @@ def read_csv_rows(path):
 
     Rows whose fields are all blank are skipped, and so is one header: the
     first non-blank row, when its first field is not a number.  Raises
-    InputError once the file is exhausted if it held no data row.
+    InputError once the file is exhausted if it held no data row, and for a
+    row csv cannot read, such as one with a field over csv's size limit.
     """
-    first, found = True, False
+    first, found, lineno = True, False, 0
     with open(path, newline="") as handle:
-        for lineno, fields in enumerate(csv.reader(handle), start=1):
-            if not any(field.strip() for field in fields):
-                continue
-            if first:
-                first = False
-                try:
-                    float(fields[0])
-                except ValueError:
+        try:
+            for lineno, fields in enumerate(csv.reader(handle), start=1):
+                if not any(field.strip() for field in fields):
                     continue
-            found = True
-            yield lineno, fields
+                if first:
+                    first = False
+                    try:
+                        float(fields[0])
+                    except ValueError:
+                        continue
+                found = True
+                yield lineno, fields
+        except csv.Error as exc:
+            raise InputError("%s line %d: %s" % (path, lineno + 1, exc)) from exc
     if not found:
         raise InputError("no data rows in %s" % path)
 
 
 def _read_matrix_csv(path):
+    """Numeric n x d array, equal bit for bit to _read_matrix_rows(path).
+
+    np.loadtxt parses the file from the first data row that read_csv_rows
+    finds.  It accepts less than the row reader does, so a file it rejects,
+    or with a line that could hold a field over csv's size limit (np.loadtxt
+    has none), is read again by _read_matrix_rows, which defines the format
+    and its error messages.
+    """
+    def short_lines(handle):
+        limit = csv.field_size_limit()
+        for line in handle:
+            if len(line) > limit:
+                raise ValueError("line longer than the csv field size limit")
+            yield line
+
+    try:
+        # lineno counts csv rows, not lines.  Where a quoted header spans
+        # lines the skip falls short, and the lines left over are blank rows
+        # or hold the header's closing quote, which np.loadtxt rejects
+        lineno, _ = next(read_csv_rows(path))
+        with open(path, newline="") as handle:
+            values = np.loadtxt(
+                short_lines(handle), delimiter=",", comments=None, ndmin=2,
+                skiprows=lineno - 1,
+            )
+    except ValueError:
+        return _read_matrix_rows(path)
+    return values if values.size else _read_matrix_rows(path)
+
+
+def _read_matrix_rows(path):
     """Numeric n x d array from the rows of read_csv_rows, parsed one row at
     a time into a flat float buffer."""
     values = array("d")

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import pathlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -24,6 +25,14 @@ def write_sample(path, values):
 def load_matrix(path):
     with open(path, newline="") as handle:
         return np.array([[float(v) for v in row] for row in csv.reader(handle)])
+
+
+def subprocess_env(**extra):
+    """The environment with this checkout's src first on PYTHONPATH, which
+    pytest's own pythonpath setting does not pass to a subprocess."""
+    src_dir = str(pathlib.Path(harness.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def read_study(path):
@@ -204,10 +213,27 @@ class TestEstimate:
             [sys.executable, "-m", "rankspec.cli", "estimate",
              "--input", str(src), "--method", "tau",
              "--output", str(tmp_path / "out.csv")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert "wrote" in proc.stdout
+
+    def test_well_formed_file_skips_the_row_reader(self, tmp_path, monkeypatch):
+        def never(path):
+            raise AssertionError("a well-formed file went to the row reader")
+
+        monkeypatch.setattr(harness, "_read_matrix_rows", never)
+        rng = np.random.default_rng(4)
+        write_sample(tmp_path / "x.csv",
+                     [("alpha", "beta", "gamma")] + rng.normal(size=(20, 3)).tolist())
+        assert main(["estimate", "--input", str(tmp_path / "x.csv"), "--method", "both",
+                     "--output", str(tmp_path / "o.csv")]) == 0
+
+    def test_oversized_field_is_bad_input(self, tmp_path, capsys):
+        (tmp_path / "x.csv").write_text('a,b\n1,"%s"\n2,3\n' % ("x" * 131073))
+        assert main(["estimate", "--input", str(tmp_path / "x.csv"), "--method", "tau",
+                     "--output", str(tmp_path / "o.csv")]) == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
 
 
 class TestStudies:
@@ -303,7 +329,7 @@ class TestStudies:
                 [sys.executable, "-m", "rankspec.cli", "simulate", "--preset", "thm1",
                  "--seed", "7", "--reps", "3", "--out-dir", str(out)],
                 capture_output=True, text=True,
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=blas),
+                env=subprocess_env(OPENBLAS_NUM_THREADS=blas),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(
@@ -397,6 +423,13 @@ class TestStudies:
         path.write_text("n,d,estimator,functional,replicate,value\n100,5,tau,spec_err,0,0.1\n")
         assert main(["rate-fit", "--input", str(path),
                      "--functional", "max_err"]) == 2
+
+    def test_rate_fit_oversized_field_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text('n,d,estimator,functional,replicate,value\n'
+                        '100,5,"%s",spec_err,0,0.1\n' % ("t" * 131073))
+        assert main(["rate-fit", "--input", str(path), "--functional", "spec_err"]) == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
 
 
 class TestGateLogic:

@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankspec.copula import SigmaModel, realize_sigma, sample_latent
@@ -16,6 +16,8 @@ from rankspec.harness import (
     Failure,
     Functional,
     Record,
+    _read_matrix_csv,
+    _read_matrix_rows,
     _write_csv,
     bound_ratio,
     load_records,
@@ -722,3 +724,67 @@ class TestCsvRoundTrip:
         first = lines[1].split(",")
         assert first[:5] == ["100", "5", "tau", "spec_err", "2"]
         assert float(first[5]) == pytest.approx(0.25)
+
+
+_PAD = st.sampled_from(("", "", " ", "\t", "\xa0", "\u2003", "\u3000", "\x0c"))
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats().map(lambda v: "%.17g" % v),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_FIELD = st.builds(lambda head, text, tail: head + text + tail, _PAD, _NUMBER, _PAD)
+_ODD_FIELDS = (
+    "1_000", "1e500", "-1e500", "-nan", "nan", "inf", "-inf", "infinity", "-Infinity",
+    "-0.0", "", "  ", "beta", "\u0661\u0662", "\uff11.\uff15", '"1.5"', '"2,5"',
+    '"3\n4"', "0x10", "1e", "1 2",
+)
+_HEADERS = (None, "alpha,beta", " x ", '"a\nb",c', '"a\r\n1,2",c', "1,beta", "\u0661,b")
+_BLANK_ROWS = ("", "", "   ", ",,", ",", "\t", "\xa0", '""')
+
+
+@st.composite
+def _csv_texts(draw):
+    """Mostly numeric CSV text with a few of the format's odd corners."""
+    width = draw(st.integers(1, 4))
+    rows = [[draw(_FIELD) for _ in range(width)] for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_FIELDS))
+        elif len(row) > 1 and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(_FIELD))
+    header = draw(st.sampled_from(_HEADERS))
+    lines = ([] if header is None else [header]) + [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 3)))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_ROWS)))
+    text = "".join(line + draw(st.sampled_from(("\n", "\r\n", "\r"))) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestMatrixReader:
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_texts())
+    @example("1,2\n" + "0" * 131073 + "1,3\n")
+    def test_loadtxt_path_matches_row_reader(self, text):
+        # the row reader defines the format: the fast path either returns its
+        # array bit for bit (nan and -0.0 included) or ends in its exception
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.csv")
+            with open(path, "wb") as handle:
+                handle.write(text.encode("utf-8"))
+            got = _outcome(_read_matrix_csv, path)
+            want = _outcome(_read_matrix_rows, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
