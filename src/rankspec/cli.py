@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 assertion or inequality failure, 2 input error,
 3 resource guard tripped.  All output files are deterministic given the
-flags and --seed; --threads (or RANKSPEC_THREADS) never changes content.
+flags and --seed.  Studies run on --threads threads, else RANKSPEC_THREADS,
+else one per core the process may use; the count never changes content.
+Every distinct replicate failure reason goes to stderr with its count.
 Files are read and written through harness, which owns the CSV format;
 estimate checks its flags before it estimates, so a bad flag writes
 nothing.
@@ -20,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -155,6 +158,15 @@ def _thm5_metrics(result):
     return rows
 
 
+def _failure_reasons(failures):
+    """One line per distinct failure reason with its count, in the order
+    the reasons first occur (task order)."""
+    return [
+        "%d replicate failures: %s" % (count, reason)
+        for reason, count in Counter(f.reason for f in failures).items()
+    ]
+
+
 @dataclass(frozen=True)
 class Study:
     """One preset study: the subcommand that runs it, its experiment at
@@ -180,14 +192,10 @@ class Study:
         )
 
     def gate_failures(self, metrics, failures=()):
-        """One message per missed gate; nan misses every gate, and any
-        replicate failure fails the study."""
-        messages = []
-        if failures:
-            messages.append(
-                "%d replicate failures; first: %s"
-                % (len(failures), failures[0].reason)
-            )
+        """One message per distinct replicate failure reason, then one per
+        missed gate; nan misses every gate, and any replicate failure fails
+        the study."""
+        messages = _failure_reasons(failures)
         values = dict(metrics)
         for name, low, high in self.gates:
             v = values.get(name, math.nan)
@@ -362,10 +370,14 @@ def _build_parser():
 
 
 def _resolve_threads(flag):
+    """--threads, else RANKSPEC_THREADS, else every core this process may
+    run on (os.sched_getaffinity exists only on some platforms)."""
     if flag is None:
         env = os.environ.get("RANKSPEC_THREADS")
         if env is None:
-            return 1
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
         try:
             flag = int(env)
         except ValueError:
@@ -442,12 +454,8 @@ def _cmd_study(args):
     _write_csv(os.path.join(args.out_dir, "study.csv"), [("metric", "value"), *metrics])
     for name, value in metrics:
         print("%s %.17g" % (name, value))
-    if result.failures:
-        print(
-            "warning: %d replicate failures recorded; first: %s"
-            % (len(result.failures), result.failures[0].reason),
-            file=sys.stderr,
-        )
+    for line in _failure_reasons(result.failures):
+        print("warning: %s" % line, file=sys.stderr)
     if args.assert_gates:
         failures = study.gate_failures(metrics, result.failures)
         for line in failures:

@@ -734,15 +734,21 @@ def write_summary_csv(result, path):
 def read_csv_rows(path):
     """Yield (line number, fields) for each data row of a CSV file.
 
-    Rows whose fields are all blank are skipped, and so is one header: the
-    first non-blank row, when its first field is not a number.  Raises
-    InputError once the file is exhausted if it held no data row, and for a
-    row csv cannot read, such as one with a field over csv's size limit.
+    The line number is the physical line the row starts on, as an editor
+    counts it, also after a quoted field that spans lines.  Rows whose
+    fields are all blank are skipped, and so is one header: the first
+    non-blank row, when its first field is not a number.  Raises InputError
+    once the file is exhausted if it held no data row, and for a row csv
+    cannot read, such as one with a field over csv's size limit.
     """
-    first, found, lineno = True, False, 0
+    first, found = True, False
     with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        start = 1
         try:
-            for lineno, fields in enumerate(csv.reader(handle), start=1):
+            for fields in reader:
+                # line_num is the last line this row read; the next starts after it
+                lineno, start = start, reader.line_num + 1
                 if not any(field.strip() for field in fields):
                     continue
                 if first:
@@ -754,7 +760,7 @@ def read_csv_rows(path):
                 found = True
                 yield lineno, fields
         except csv.Error as exc:
-            raise InputError("%s line %d: %s" % (path, lineno + 1, exc)) from exc
+            raise InputError("%s line %d: %s" % (path, start, exc)) from exc
     if not found:
         raise InputError("no data rows in %s" % path)
 
@@ -776,9 +782,6 @@ def _read_matrix_csv(path):
             yield line
 
     try:
-        # lineno counts csv rows, not lines.  Where a quoted header spans
-        # lines the skip falls short, and the lines left over are blank rows
-        # or hold the header's closing quote, which np.loadtxt rejects
         lineno, _ = next(read_csv_rows(path))
         with open(path, newline="") as handle:
             values = np.loadtxt(

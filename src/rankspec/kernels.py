@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConvergenceError, GuardExceededError
 from .linalg import SymMatrix, norm_frobenius, spectral_norm
@@ -50,6 +49,14 @@ _GBAR_TOL = 1e-9
 _GL_CACHE = {}
 
 
+def _ndtr(x):
+    """Standard normal CDF.  scipy.special is imported on the first call, so
+    only the commands that evaluate kernels pay for loading it."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
 def _gl(m):
     if m not in _GL_CACHE:
         _GL_CACHE[m] = np.polynomial.legendre.leggauss(m)
@@ -68,7 +75,7 @@ def _bvnu_moderate(h, k, r, m):
     hk = (h * k)[..., None]
     hs = ((h * h + k * k) / 2.0)[..., None]
     total = (np.exp((sn * hk - hs) / (1.0 - sn * sn)) * weights).sum(axis=-1)
-    return total * asr / (4.0 * np.pi) + ndtr(-h) * ndtr(-k)
+    return total * asr / (4.0 * np.pi) + _ndtr(-h) * _ndtr(-k)
 
 
 def _bvnu_high(h, k, r):
@@ -96,7 +103,7 @@ def _bvnu_high(h, k, r):
         0.0,
     )
     b = np.sqrt(bs)
-    tail = np.sqrt(2.0 * np.pi) * ndtr(-b / a)
+    tail = np.sqrt(2.0 * np.pi) * _ndtr(-b / a)
     bvn = np.where(
         -hk < 100.0,
         bvn - np.exp(-hk / 2.0) * tail * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
@@ -114,8 +121,8 @@ def _bvnu_high(h, k, r):
         axis=-1
     )
     bvn = -bvn / (2.0 * np.pi)
-    positive = bvn + ndtr(-np.maximum(h, k))
-    negative = -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-k))
+    positive = bvn + _ndtr(-np.maximum(h, k))
+    negative = -bvn + np.maximum(0.0, _ndtr(-h) - _ndtr(-k))
     return np.where(flip, negative, positive)
 
 
@@ -151,7 +158,7 @@ def _check_rho(rho):
 
 def hbar0(x):
     """Centering kernel 2 Phi(x) - 1, uniform on [-1, 1] under X ~ N(0,1)."""
-    out = 2.0 * ndtr(x) - 1.0
+    out = 2.0 * _ndtr(x) - 1.0
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -159,7 +166,7 @@ def hbar(x, y, rho):
     """First-order tau kernel 4 Phi2(x, y; rho) - 2 Phi(x) - 2 Phi(y) + 1."""
     (xb, yb, rb), scalar = _broadcast(x, y, rho)
     _check_rho(rb)
-    values = 4.0 * _bvnu(-xb, -yb, rb) - 2.0 * ndtr(xb) - 2.0 * ndtr(yb) + 1.0
+    values = 4.0 * _bvnu(-xb, -yb, rb) - 2.0 * _ndtr(xb) - 2.0 * _ndtr(yb) + 1.0
     out = np.clip(values, -1.0, 1.0)
     return float(out[0]) if scalar else out.reshape(np.broadcast(x, y, rho).shape)
 
@@ -342,7 +349,7 @@ def inequality_sweep(grid_size=51):
     rho = np.linspace(-1.0, 1.0, 21)
     y = np.linspace(-8.0, 8.0, 8 * grid_size + 1)
     shrink = np.sqrt(np.maximum(0.0, 1.0 - rho * rho))
-    gap = np.abs(ndtr(y[None, :]) - ndtr(y[None, :] * shrink[:, None]))
+    gap = np.abs(_ndtr(y[None, :]) - _ndtr(y[None, :] * shrink[:, None]))
     hit = np.argmax(gap, axis=1)
     slack = np.abs(rho) / 2.0 - gap[np.arange(rho.size), hit]
     rows.append(_min_slack_row("phi_contraction", slack, y[hit], None, rho))

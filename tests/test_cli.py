@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rankspec.harness as harness
-from rankspec.cli import STUDIES, main
+from rankspec.cli import STUDIES, _resolve_threads, main
 from rankspec.harness import Failure, load_records, rate_fit
 from rankspec.kernels import SweepReport, SweepRow, inequality_sweep
 from rankspec.linalg import CorrMatrix
@@ -112,6 +112,12 @@ class TestEstimate:
         assert main(["estimate", "--input", str(words), "--method", "tau",
                      "--output", out]) == 2
         assert "line 3" in capsys.readouterr().err
+        # line numbers are physical lines, after a quoted header spanning two
+        multiline = tmp_path / "multiline.csv"
+        multiline.write_text('"a\nb",c\n1,x\n')
+        assert main(["estimate", "--input", str(multiline), "--method", "rho",
+                     "--output", out]) == 2
+        assert "multiline.csv line 3: could not" in capsys.readouterr().err
         numeric_header = tmp_path / "numeric_header.csv"
         numeric_header.write_text("1,beta\n2,3\n4,5\n")
         assert main(["estimate", "--input", str(numeric_header), "--method", "tau",
@@ -228,6 +234,11 @@ class TestEstimate:
                      [("alpha", "beta", "gamma")] + rng.normal(size=(20, 3)).tolist())
         assert main(["estimate", "--input", str(tmp_path / "x.csv"), "--method", "both",
                      "--output", str(tmp_path / "o.csv")]) == 0
+        # a quoted header that spans lines is skipped by its physical lines
+        write_sample(tmp_path / "y.csv",
+                     [("al\npha", "beta", "gamma")] + rng.normal(size=(20, 3)).tolist())
+        assert main(["estimate", "--input", str(tmp_path / "y.csv"), "--method", "both",
+                     "--output", str(tmp_path / "o.csv")]) == 0
 
     def test_oversized_field_is_bad_input(self, tmp_path, capsys):
         (tmp_path / "x.csv").write_text('a,b\n1,"%s"\n2,3\n' % ("x" * 131073))
@@ -272,33 +283,39 @@ class TestStudies:
         assert "assert failed" in capsys.readouterr().err
 
     def test_assert_fails_on_replicate_failures(self, tmp_path, capsys, monkeypatch):
-        # with no metric gates, replicate failures alone must fail --assert
+        # with no metric gates, replicate failures alone must fail --assert;
+        # each distinct reason is reported once with its count, in task order
         monkeypatch.setitem(STUDIES, "thm4", replace(STUDIES["thm4"], gates=()))
         real = harness._evaluate
         calls = []
 
         def flaky(*args):
             calls.append(None)
-            if len(calls) % 7 == 0:
-                raise ValueError("injected")
+            if len(calls) in (2, 7):
+                raise ValueError("injected late")
+            if len(calls) == 5:
+                raise ValueError("injected early")
             return real(*args)
 
         monkeypatch.setattr(harness, "_evaluate", flaky)
         argv = ["pca-study", "--preset", "thm4", "--seed", "7", "--reps", "3",
-                "--n-grid", "100,200,400", "--out-dir", str(tmp_path / "t4")]
+                "--n-grid", "100,200,400", "--out-dir", str(tmp_path / "t4"),
+                "--threads", "1"]
+        reasons = ["2 replicate failures: functional proj_dist_k2: injected late",
+                   "1 replicate failures: functional proj_dist_k2: injected early"]
         assert main(argv) == 0
-        assert ("warning: 1 replicate failures recorded; first: "
-                "functional proj_dist_k2: injected") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["warning: " + line for line in reasons]
         calls.clear()
         assert main(argv + ["--assert"]) == 1
         err = capsys.readouterr().err
-        assert ("assert failed: 1 replicate failures; first: "
-                "functional proj_dist_k2: injected") in err
+        assert err.splitlines() == (["warning: " + line for line in reasons]
+                                    + ["assert failed: " + line for line in reasons])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_replicates_failed(self, tmp_path, capsys, monkeypatch):
         # metrics of an empty functional are nan, study.csv is still
-        # written, and --assert fails naming the first reason
+        # written, and --assert fails naming the reason
         def broken(*args):
             raise ValueError("injected")
 
@@ -318,7 +335,7 @@ class TestStudies:
             study = read_study(out / "study.csv")
             assert [name for name in nan_metrics if not math.isnan(study[name])] == []
             err = capsys.readouterr().err
-            assert "replicate failures; first: functional" in err
+            assert "replicate failures: functional" in err
             assert "injected" in err
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
@@ -398,6 +415,13 @@ class TestStudies:
         code, _ = self.run_tiny_thm1(tmp_path, "w")
         assert code == 2
 
+    def test_threads_default_to_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("RANKSPEC_THREADS", raising=False)
+        assert _resolve_threads(None) == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("RANKSPEC_THREADS", "3")
+        assert _resolve_threads(None) == 3
+        assert _resolve_threads(2) == 2
+
     def test_rate_fit_matches_library(self, tmp_path, capsys):
         out = tmp_path / "t3"
         main(["taper-study", "--preset", "thm3", "--seed", "3", "--reps", "2",
@@ -470,9 +494,11 @@ class TestGateLogic:
     def test_replicate_failures_fail(self):
         good = [("slope", -0.5)]
         failure = Failure(250, 10, "tau", "proj_dist_k2", 3, "functional proj_dist_k2: x")
+        other = replace(failure, replicate=4, reason="functional proj_dist_k2: y")
         assert STUDIES["thm4"].gate_failures(good, ()) == []
-        assert STUDIES["thm4"].gate_failures(good, (failure, failure)) == [
-            "2 replicate failures; first: functional proj_dist_k2: x"
+        assert STUDIES["thm4"].gate_failures(good, (failure, other, failure)) == [
+            "2 replicate failures: functional proj_dist_k2: x",
+            "1 replicate failures: functional proj_dist_k2: y",
         ]
 
 

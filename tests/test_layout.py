@@ -1,6 +1,7 @@
 """Each layer module's __all__ matches what the module offers, and every
 public function in it, and every optional parameter of one, is reached
-from the package itself.  Only harness touches files."""
+from the package itself.  Only harness touches files, and a cold import of
+the CLI loads no scipy module."""
 
 import ast
 import importlib
@@ -144,15 +145,41 @@ def test_only_harness_reads_and_writes_files():
     assert sorted(owners) == [("harness", "import csv"), ("harness", "open()")]
 
 
-def test_cli_import_loads_no_heavy_scipy_subpackage():
-    # a cold `import rankspec.cli` is the start-up cost of every command;
-    # these subpackages each add a large share of it
-    code = "import sys, rankspec.cli; print(' '.join(sorted(sys.modules)))"
+def _cold_run(*args):
+    """Run a fresh interpreter with args, importing rankspec from this
+    checkout; return its standard output.  A nonzero exit fails the test."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
         check=True, timeout=120,
-    ).stdout.split()
+    ).stdout
+
+
+def test_cli_import_loads_no_scipy_module():
+    # a cold `import rankspec.cli` is the start-up cost of every command;
+    # only kernel-check and the hoeffding_report functional need scipy
+    code = "import sys, rankspec.cli; print(' '.join(sorted(sys.modules)))"
+    out = _cold_run("-c", code).split()
     assert "rankspec.cli" in out
-    heavy = ("scipy.stats", "scipy.linalg", "scipy.sparse", "scipy.optimize")
-    assert [m for m in out if m.startswith(heavy)] == []
+    assert [m for m in out if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_kernels_run_from_a_cold_start(tmp_path):
+    # scipy.special is imported on the first kernel call: here two threads
+    # make that call at once, and kernel-check makes it in its own process
+    code = """
+import sys
+from rankspec.copula import SigmaModel
+from rankspec.harness import ExperimentConfig, Functional, run_experiment
+config = ExperimentConfig(
+    model=SigmaModel.ar1(0.5, 4), estimators=("tau",), n_grid=(40,),
+    d_grid=(4,), functionals=(Functional.hoeffding_report(),), reps=6, seed=3,
+)
+assert "scipy.special" not in sys.modules
+two = run_experiment(config, threads=2)
+one = run_experiment(config, threads=1)
+print(len(two.records), two.records == one.records, two.failures == one.failures == ())
+"""
+    assert _cold_run("-c", code) == "6 True True\n"
+    _cold_run("-m", "rankspec.cli", "kernel-check", "--grid-size", "11",
+              "--out", str(tmp_path / "sweep.csv"))
