@@ -60,67 +60,65 @@ def _strict_orders_and_ranks(x):
     return order, ranks
 
 
-def _block_inversions(b):
-    """Inversion count inside each length-m block b[r, i, :], summed per row r."""
-    dd, k, m = b.shape
-    # blocks as columns: each comparison below runs over one contiguous slab
-    cols = np.ascontiguousarray(b.transpose(2, 0, 1))
-    acc = np.zeros((m - 1, dd, k), dtype=np.min_scalar_type(m))
-    for shift in range(1, m):
-        acc[: m - shift] += cols[: m - shift] > cols[shift:]
-    return acc.sum(axis=(0, 2), dtype=np.int64)
+def _discordant_pairs(order, ranks):
+    """Discordant-pair counts of every column pair j < c, as an upper triangle.
 
-
-def _row_inversions(a):
-    """Inversion count of each row of a, whose rows are permutations of 0..n-1.
-
-    Positions and values are cut into blocks of m ~ sqrt(n).  A pair inside
-    one position block is compared directly.  A pair in two position blocks
-    but one value block is compared by position block along the value order.
-    Any other pair is decided by its (position block, value block) cells,
-    counted with prefix sums over the k x k grid of cells.  Rows are padded
-    to k*m with ascending values above every entry, which add no inversion.
+    Ranks fall in k blocks of m ~ sqrt(n).  In column l's order each run of m
+    rows is one block of l, and pairs inside a run are compared by rank in
+    each later column c and by block in each earlier column j, so a pair
+    sharing a block of both is counted once.  Other pairs of (l, c) are
+    counted by prefix sums over the k x k grid of (block of l, block of c).
+    Rows are padded to k*m with ascending values that add no inversion.
     """
-    dd, n = a.shape
+    n, d = ranks.shape
     m = max(2, math.isqrt(n))
     k = -(-n // m)
-    pos_block = np.arange(n) // m
-    inverse = np.empty_like(a)
-    np.put_along_axis(inverse, a, np.arange(n, dtype=a.dtype)[None, :], axis=1)
-    # the narrowest dtype that holds the values halves or quarters the
-    # memory traffic of the block comparisons
-    padded = np.empty((dd, k * m), dtype=np.min_scalar_type(k * m))
-    padded[:, :n] = a
-    padded[:, n:] = np.arange(n, k * m)
-    same_pos = _block_inversions(padded.reshape(dd, k, m))
-    padded = np.empty((dd, k * m), dtype=np.min_scalar_type(k))
-    padded[:, :n] = inverse // m
-    padded[:, n:] = k
-    same_value = _block_inversions(padded.reshape(dd, k, m))
-    cell = (np.arange(dd)[:, None] * k + pos_block) * k + a // m
-    grid = np.bincount(cell.ravel(), minlength=dd * k * k).reshape(dd, k, k)
-    before = np.cumsum(grid, axis=1) - grid
-    before_above = np.cumsum(before[:, :, ::-1], axis=2)[:, :, ::-1] - before
-    return same_pos + same_value + np.einsum("rpq,rpq->r", grid, before_above)
+    # the narrowest dtype that holds the padded ranks cuts memory traffic
+    dtype = np.min_scalar_type(k * m)
+    blocks = (ranks // m).astype(dtype)
+    mixed = ranks.astype(dtype)
+    rows = np.empty((k * m, d), dtype=dtype)
+    rows[n:] = np.arange(n, k * m, dtype=dtype)[:, None]
+    runs = rows.reshape(k, m, d)
+    flags = np.empty((k, m - 1, d), dtype=bool)
+    counter = np.empty((k, m - 1, d), dtype=np.min_scalar_type(m))
+    counts = np.empty((d, d), dtype=np.int64)
+    for l in range(d):
+        np.take(mixed, order[:, l], axis=0, out=rows[:n])
+        mixed[:, l] = blocks[:, l]
+        counter.fill(0)
+        for shift in range(1, m):
+            np.greater(runs[:, : m - shift], runs[:, shift:], out=flags[:, : m - shift])
+            counter[:, : m - shift] += flags[:, : m - shift].view(np.uint8)
+        counts[l] = counter.sum(axis=(0, 1), dtype=np.int64)
+        # intp cells: up to k*k*(d-1), past 2**31 at d = 1024 from n ~ 2**21
+        rest = d - 1 - l
+        cell = np.add.outer(np.multiply(blocks[:, l], k * rest, dtype=np.intp), np.arange(rest))
+        cell += np.multiply(blocks[:, l + 1 :], rest, dtype=np.intp)
+        grid = np.bincount(cell.ravel(), minlength=k * k * rest).reshape(k, k, rest)
+        # corner[p, q]: rows in blocks <= p of l and >= q of c, at most n
+        corner = grid.astype(np.min_scalar_type(n))
+        for p in range(1, k):
+            np.add(corner[p - 1], corner[p], out=corner[p])
+        for q in range(k - 2, -1, -1):
+            np.add(corner[:, q], corner[:, q + 1], out=corner[:, q])
+        counts[l, l + 1 :] += np.einsum("pqc,pqc->c", grid[1:, :-1], corner[:-1, 1:])
+    return np.triu(counts, 1) + np.tril(counts, -1).T
 
 
 def kendall_tau_matrix(y):
     """All pairwise Kendall tau statistics of a tie-free sample.
 
-    Sort by one column: discordant pairs are then exactly the inversions of
-    the other column's rank sequence, counted in O(n sqrt n) per pair, and
-    tau = (n(n-1) - 4 inv) / (n(n-1)).  With tie-free input that rational
-    equals the definitional sign-product average, including bitwise in
-    floating point, because both divide the same integer by n(n-1).
+    Discordant pairs are counted exactly, one column-ordered pass per column
+    and O(n sqrt n) work per pair, and tau = (n(n-1) - 4 dis) / (n(n-1)).
+    Without ties that equals the definitional sign-product average bit for
+    bit: both divide the same integer by n(n-1).
     """
     x = y.entries
     n, d = x.shape
     if n < 2:
         raise ValueError("Kendall's tau requires n >= 2")
-    order, ranks = _strict_orders_and_ranks(x)
-    discordant = np.zeros((d, d), dtype=np.int64)
-    for j in range(d - 1):
-        discordant[j, j + 1 :] = _row_inversions(ranks[order[:, j], j + 1 :].T)
+    discordant = _discordant_pairs(*_strict_orders_and_ranks(x))
     pairs = n * (n - 1)
     values = (pairs - 4 * (discordant + discordant.T)) / float(pairs)
     np.fill_diagonal(values, 1.0)
