@@ -108,21 +108,23 @@ def _thm3_metrics(result):
     rows.append(("target_slope", -2.0 / 3.0))
     # squared error against bandwidth at the middle sample size should dip
     # at an interior k: small k is bias-dominated, large k variance-dominated
-    ks = sorted(f.k for f in result.config.functionals if f.k is not None)
+    functionals = result.config.functionals
+    tapers = [f for f in functionals if f.name == "taper_err" and f.k is not None]
+    tapers.sort(key=lambda f: f.k)
     grid = sorted(result.config.n_grid)
     curve_n = grid[len(grid) // 2]
     curve = []
-    for k in ks:
+    for f in tapers:
         curve += _or_nan(
-            ("kcurve_mse_k%d" % k,),
-            lambda k=k: (_mean_at(result, "taper_err_k%d" % k, curve_n, power=2.0),),
+            ("kcurve_mse_k%d" % f.k,),
+            lambda f=f: (_mean_at(result, f.label, curve_n, power=2.0),),
         )
     mse = [value for _, value in curve]
     if any(math.isnan(value) for value in mse):
         argmin_k = interior = math.nan
     else:
         best = int(np.argmin(mse))
-        argmin_k, interior = float(ks[best]), float(0 < best < len(ks) - 1)
+        argmin_k, interior = float(tapers[best].k), float(0 < best < len(tapers) - 1)
     rows.append(("kcurve_n", float(curve_n)))
     rows += curve
     rows.append(("kcurve_argmin_k", argmin_k))

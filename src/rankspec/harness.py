@@ -73,8 +73,8 @@ __all__ = [
 
 _ESTIMATORS = ("tau", "rho", "oracle")
 
-# name -> parameters it accepts ("s", "k", "alpha"); taper_err takes exactly
-# one of k (fixed bandwidth) or alpha (bandwidth selected per cell)
+# name -> the parameters it accepts; a functional with parameters sets exactly
+# one of them, and its label is the name followed by that parameter's suffix
 _FUNCTIONAL_PARAMS = {
     "spec_err": (),
     "max_err": (),
@@ -85,8 +85,21 @@ _FUNCTIONAL_PARAMS = {
     "support_recovery": ("s",),
     "hoeffding_report": (),
 }
+_LABEL_SUFFIX = {"s": "_s%d", "k": "_k%d", "alpha": "_a%g"}
 
 _DIM_GUARD = 1024
+
+
+def _integer(name, value, low, high=None):
+    """value as an int, after checking that it is an integer, not a bool,
+    of at least low and, when high is given, below high."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s: integers only, got %r" % (name, value))
+    if value < low:
+        raise ValueError("%s must be at least %d" % (name, low))
+    if high is not None and value >= high:
+        raise ValueError("%s must be below %d" % (name, high))
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -113,42 +126,31 @@ class Functional:
     alpha: float = None
 
     def __post_init__(self):
-        if self.name not in _FUNCTIONAL_PARAMS:
+        params = _FUNCTIONAL_PARAMS.get(self.name)
+        if params is None:
             raise ValueError(
                 "unknown functional %r; choose from %s"
                 % (self.name, ", ".join(sorted(_FUNCTIONAL_PARAMS)))
             )
-        allowed = _FUNCTIONAL_PARAMS[self.name]
-        for param in ("s", "k", "alpha"):
-            if param not in allowed and getattr(self, param) is not None:
+        for param in _LABEL_SUFFIX:
+            if param not in params and getattr(self, param) is not None:
                 raise ValueError("functional %r takes no %s" % (self.name, param))
-        if "s" in allowed:
-            if not isinstance(self.s, (int, np.integer)) or isinstance(self.s, bool):
-                raise ValueError("functional %r requires integer s" % self.name)
-            if self.s < 1:
-                raise ValueError("s must be at least 1")
-        if self.name == "proj_dist":
-            if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
-                raise ValueError("proj_dist requires integer k")
-            if self.k < 1:
-                raise ValueError("k must be at least 1")
-        if self.name == "taper_err":
-            if (self.k is None) == (self.alpha is None):
-                raise ValueError("taper_err takes exactly one of k or alpha")
-            if self.k is not None:
-                TaperSpec(self.k)
-            elif not self.alpha > 0:
-                raise ValueError("alpha must be positive")
+        given = [param for param in params if getattr(self, param) is not None]
+        if params and len(given) != 1:
+            raise ValueError(
+                "%s takes exactly one of %s" % (self.name, " or ".join(params))
+            )
+        if given == ["alpha"] and not self.alpha > 0:
+            raise ValueError("alpha must be positive")
+        if given in (["s"], ["k"]):
+            _integer("%s %s" % (self.name, given[0]), getattr(self, given[0]), 1)
 
     @property
     def label(self):
         """Parameter-qualified name used in records and CSV output."""
-        if self.name in ("sparse_spec_err", "sin_angle_sparse", "support_recovery"):
-            return "%s_s%d" % (self.name, self.s)
-        if self.name == "proj_dist":
-            return "proj_dist_k%d" % self.k
-        if self.name == "taper_err":
-            return "taper_err_k%d" % self.k if self.k is not None else "taper_err_a%g" % self.alpha
+        for param in _FUNCTIONAL_PARAMS[self.name]:
+            if getattr(self, param) is not None:
+                return self.name + _LABEL_SUFFIX[param] % getattr(self, param)
         return self.name
 
     @classmethod
@@ -185,17 +187,10 @@ class Functional:
 
 
 def _check_grid(name, grid, low):
-    grid = tuple(grid)
-    if not grid:
-        raise ValueError("%s must not be empty" % name)
-    for value in grid:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError("%s entries must be integers" % name)
-        if value < low:
-            raise ValueError("%s entries must be at least %d" % (name, low))
-    if len(set(grid)) != len(grid):
-        raise ValueError("%s entries must be distinct" % name)
-    return tuple(int(v) for v in grid)
+    grid = tuple(_integer("%s entries" % name, value, low) for value in grid)
+    if not grid or len(set(grid)) != len(grid):
+        raise ValueError("%s must be nonempty with distinct entries" % name)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -236,12 +231,8 @@ class ExperimentConfig:
         )
         object.__setattr__(self, "n_grid", _check_grid("n_grid", self.n_grid, 2))
         object.__setattr__(self, "d_grid", _check_grid("d_grid", self.d_grid, 1))
-        if not (isinstance(self.reps, (int, np.integer)) and self.reps >= 1):
-            raise ValueError("reps must be an integer of at least 1")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ValueError("seed must be an integer in [0, 2^64)")
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "reps", _integer("reps", self.reps, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, 2**64))
         tags = tuple(self.transforms)
         if tags:
             tags = TransformSet(tags).tags
@@ -264,7 +255,7 @@ class ExperimentConfig:
                 "d=%d exceeds the dimension guard %d" % (d_max, _DIM_GUARD)
             )
         for f in functionals:
-            if f.name in ("sparse_spec_err", "sin_angle_sparse", "support_recovery"):
+            if f.s is not None:
                 if f.s > d_min:
                     raise ValueError(
                         "%s needs s <= every d in d_grid (s=%d, min d=%d)"
@@ -278,8 +269,8 @@ class ExperimentConfig:
                 )
             elif f.name == "hoeffding_report" and self.estimators != ("tau",):
                 raise ValueError(
-                    "%s is estimator-independent; run it with estimators=('tau',)"
-                    % f.name
+                    "hoeffding_report is estimator-independent; "
+                    "run it with estimators=('tau',)"
                 )
         # every cell dimension must realize a valid model before any sampling
         for d in self.d_grid:
@@ -444,17 +435,16 @@ def _evaluate(f, est, x, ctx, n, d, sparse):
     by s and is filled only on success, so a failing enumeration fails each
     functional that needs it with that functional's own reason."""
     sigma = ctx.sigma
-    if f.name == "spec_err":
+    if f.name == "taper_err":
+        k = f.k if f.k is not None else optimal_bandwidth(n, d, f.alpha)
+        est = taper_estimate(est, TaperSpec(k))
+    if f.name in ("spec_err", "taper_err"):
         return spectral_norm(SymMatrix(est.entries - sigma.entries))
     if f.name == "max_err":
         return norm_max(SymMatrix(est.entries - sigma.entries))
     if f.name == "sparse_spec_err":
         value, _ = sparse_spectral_norm(SymMatrix(est.entries - sigma.entries), f.s)
         return value
-    if f.name == "taper_err":
-        k = f.k if f.k is not None else optimal_bandwidth(n, d, f.alpha)
-        tapered = taper_estimate(est, TaperSpec(k))
-        return spectral_norm(SymMatrix(tapered.entries - sigma.entries))
     if f.name in ("sin_angle_sparse", "support_recovery"):
         hat = sparse.get(f.s)
         if hat is None:
@@ -471,23 +461,24 @@ def _evaluate(f, est, x, ctx, n, d, sparse):
 def _run_one(cfg, ctx, cell_idx, n, d, rep):
     """All records and failures of one replicate, in estimator order."""
     records, failures = [], []
+
+    def fail_all(ests, reason):
+        failures.extend(
+            Failure(n, d, e, f.label, rep, reason) for e in ests for f in cfg.functionals
+        )
+
     seed = replicate_seed(cfg.seed, cell_idx, rep)
     try:
         x = sample_latent(ctx.sigma, n, seed)
         y = apply_transforms(x, ctx.transforms)
     except (RankspecError, ValueError) as exc:
-        reason = "sampling: %s" % exc
-        for est in cfg.estimators:
-            for f in cfg.functionals:
-                failures.append(Failure(n, d, est, f.label, rep, reason))
+        fail_all(cfg.estimators, "sampling: %s" % exc)
         return records, failures
     for est in cfg.estimators:
         try:
             matrix = _estimate(est, y)
         except (RankspecError, ValueError) as exc:
-            reason = "estimator %s: %s" % (est, exc)
-            for f in cfg.functionals:
-                failures.append(Failure(n, d, est, f.label, rep, reason))
+            fail_all((est,), "estimator %s: %s" % (est, exc))
             continue
         sparse = {}
         for f in cfg.functionals:
@@ -519,10 +510,7 @@ def run_experiment(cfg, threads=1):
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ValueError("cfg must be an ExperimentConfig")
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-        raise ValueError("threads must be an integer")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    threads = _integer("threads", threads, 1)
     contexts = {d: _build_context(cfg, d) for d in cfg.d_grid}
     tasks = [
         (cell_idx, n, d, rep)
@@ -537,7 +525,7 @@ def run_experiment(cfg, threads=1):
     if threads == 1:
         chunks = [work(task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(work, tasks))
     records, failures = [], []
     for recs, fails in chunks:

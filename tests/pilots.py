@@ -187,7 +187,10 @@ def thm2(reps=600):
 
 def thm3(reps=50):
     result, metrics = _run("thm3", reps)
-    ks = sorted(f.k for f in result.config.functionals if f.k is not None)
+    ks = sorted(
+        f.k for f in result.config.functionals
+        if f.name == "taper_err" and f.k is not None
+    )
     return {
         "reps": reps,
         "slope_sq": (metrics["slope_sq"], metrics["slope_sq_stderr"]),

@@ -104,6 +104,10 @@ class TestFunctional:
             Functional.sparse_spec_err(2.0)
         with pytest.raises(ValueError, match="integer"):
             Functional.proj_dist(True)
+        with pytest.raises(ValueError):
+            Functional.sparse_spec_err(None)
+        with pytest.raises(ValueError):
+            Functional.proj_dist(None)
 
 
 class TestExperimentConfig:
@@ -138,6 +142,10 @@ class TestExperimentConfig:
             ar1_cfg(seed=-1)
         with pytest.raises(ValueError, match="seed"):
             ar1_cfg(seed=2**64)
+        with pytest.raises(ValueError, match="reps"):
+            ar1_cfg(reps=True)
+        with pytest.raises(ValueError, match="seed"):
+            ar1_cfg(seed=False)
 
     def test_transform_template_canonicalized(self):
         cfg = ar1_cfg(transforms=["softsign", "cube"])
